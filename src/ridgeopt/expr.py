@@ -15,10 +15,13 @@ subdifferential of F.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -136,107 +139,191 @@ class SubdiffSample:
 
 @dataclass(frozen=True)
 class ExprProgram:
+    """F(x, y) over dim_x x-variables and dim_y y-variables.
+
+    Construction validates ``root`` and compiles it to ``tape``, which
+    computes F with native min/max; ``lowered`` and ``scalar`` are built
+    from the tree on first use.
+    """
+
     root: Node
     dim_x: int
     dim_y: int
+    tape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise ExprError("dim_x and dim_y must be >= 1")
-        _validate(self.root, self.dim_x, self.dim_y)
+        object.__setattr__(self, "tape", _value_tape(self.root, self.dim_x, self.dim_y))
 
     @cached_property
-    def lowered(self) -> Node:
-        """min/max rewritten through abs; used by all derivative machinery."""
-        return _lower(self.root)
+    def lowered(self) -> tuple[tuple, tuple]:
+        """(tape, kinks) of F with min/max rewritten through abs; see _lowered_tape."""
+        return _lowered_tape(self.root, self.dim_x, self.dim_y)
 
     @cached_property
-    def abs_nodes(self) -> tuple[Abs, ...]:
-        """Unique abs subtrees of the lowered program, in preorder."""
-        seen: dict[Abs, None] = {}
-        _collect_abs(self.lowered, seen)
-        return tuple(seen)
+    def scalar(self) -> Callable[[list, list], float]:
+        """F as ``f(x, y)`` over two lists of floats.
+
+        It checks no dimensions; ``eval`` is the checked entry point.
+        """
+        return _scalar_function(self.tape)
 
     def __str__(self) -> str:
         return to_text(self.root)
 
 
-def _validate(node: Node, p: int, r: int) -> None:
+# ---------------------------------------------------------------------------
+# Compilation.  A tape is a tuple of (op, a, b) instructions, one per slot;
+# operands are earlier slots and the root is the last slot:
+#   ("const", value, 0)  ("x", index, 0)  ("y", index, 0)  ("pow", slot, n)
+#   ("neg", slot, 0)     ("abs", slot, k)  k: the switch, in the lowered tape
+#   ("add" | "sub" | "mul" | "min" | "max", slot, slot)
+# ---------------------------------------------------------------------------
+
+_KIND = {Neg: "neg", Abs: "abs", Add: "add", Sub: "sub", Mul: "mul",
+         Min: "min", Max: "max"}
+_BINARY = frozenset(("add", "sub", "mul", "min", "max"))
+_LEAVES = frozenset(("const", "x", "y"))
+
+
+class _Tape:
+    """Hash-consed instruction list: one slot per distinct instruction.
+
+    Constants are told apart by bit pattern, so 0.0 and -0.0 get two slots,
+    unless ``exact`` is false: then they compare as the AST dataclasses do.
+    """
+
+    def __init__(self, exact: bool = True):
+        self.ops: list[tuple] = []
+        self.slots: dict[tuple, int] = {}
+        self.exact = exact
+
+    def emit(self, op: str, a, b=0) -> int:
+        key = (op, struct.pack("<d", a) if self.exact and op == "const" else a, b)
+        if key not in self.slots:
+            self.slots[key] = len(self.ops)
+            self.ops.append((op, a, b))
+        return self.slots[key]
+
+
+def _minmax(t: _Tape, op: str, a: int, b: int, k=0) -> tuple[int, int, int]:
+    """Emit op(a, b) = (a + b -/+ |a - b|)/2; returns its, a - b's and the abs slot."""
+    d = t.emit("sub", a, b)
+    m = t.emit("abs", d, k)
+    s = t.emit("sub" if op == "min" else "add", t.emit("add", a, b), m)
+    return t.emit("mul", t.emit("const", 0.5), s), d, m
+
+
+def _instruction(node, p: int, r: int) -> tuple:
+    """Validated (op, a, b) of one AST node, with child nodes as operands."""
+    kind = _KIND.get(type(node))
+    if kind is not None:
+        return kind, node.a, getattr(node, "b", 0)
     if isinstance(node, Const):
-        return
+        if not isinstance(node.value, (float, int, numbers.Real)):
+            raise ExprError(f"constant must be a real number, got {node.value!r}")
+        return "const", float(node.value), 0
     if isinstance(node, Var):
-        dim = p if node.block == "x" else r
-        if node.block not in ("x", "y"):
-            raise ExprError(f"unknown variable block {node.block!r}")
-        if not 0 <= node.index < dim:
+        dim = {"x": p, "y": r}.get(node.block, 0)
+        if not isinstance(node.index, (int, numbers.Integral)) or not 0 <= node.index < dim:
             raise ExprError(
                 f"variable {node.block}{node.index} out of range (dim {dim})")
-        return
-    if isinstance(node, (Neg, Abs)):
-        _validate(node.a, p, r)
-        return
+        return node.block, int(node.index), 0
     if isinstance(node, Pow):
         if not isinstance(node.n, int) or node.n < 1:
             raise ExprError(f"pow exponent must be a positive integer, got {node.n!r}")
-        _validate(node.a, p, r)
-        return
-    if isinstance(node, (Add, Sub, Mul, Min, Max)):
-        _validate(node.a, p, r)
-        _validate(node.b, p, r)
-        return
+        return "pow", node.a, node.n
     raise ExprError(f"unknown node type {type(node).__name__}")
 
 
-def _lower(node: Node) -> Node:
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_lower(node.a))
-    if isinstance(node, Abs):
-        return Abs(_lower(node.a))
-    if isinstance(node, Pow):
-        return Pow(_lower(node.a), node.n)
-    a, b = _lower(node.a), _lower(node.b)
-    if isinstance(node, Add):
-        return Add(a, b)
-    if isinstance(node, Sub):
-        return Sub(a, b)
-    if isinstance(node, Mul):
-        return Mul(a, b)
-    if isinstance(node, Min):
-        return Mul(Const(0.5), Sub(Add(a, b), Abs(Sub(a, b))))
-    if isinstance(node, Max):
-        return Mul(Const(0.5), Add(Add(a, b), Abs(Sub(a, b))))
-    raise ExprError(f"unknown node type {type(node).__name__}")
+def _postorder(root: Node, p: int, r: int):
+    """Validate the tree and yield (node, (op, a, b), rank, last), children first.
+
+    The walk is iterative, so depth is limited only by memory, and visits
+    each node object once.  ``rank`` is the node's preorder number and
+    ``last`` the highest one given out so far, that of the node's last
+    descendant.
+    """
+    seen, rank = set(), 0
+    stack: list[tuple] = [(root, None, 0)]
+    while stack:
+        node, ins, entered = stack.pop()
+        if ins is not None:
+            yield node, ins, entered, rank
+        elif id(node) not in seen:
+            seen.add(id(node))
+            ins = _instruction(node, p, r)
+            rank += 1
+            stack.append((node, ins, rank))
+            if ins[0] in _BINARY:
+                stack.append((ins[2], None, 0))
+            if ins[0] not in _LEAVES:
+                stack.append((ins[1], None, 0))
 
 
-def _collect_abs(node: Node, seen: dict[Abs, None]) -> None:
-    if isinstance(node, Abs):
-        if node not in seen:
-            seen[node] = None
-        _collect_abs(node.a, seen)
-    elif isinstance(node, (Neg,)):
-        _collect_abs(node.a, seen)
-    elif isinstance(node, Pow):
-        _collect_abs(node.a, seen)
-    elif isinstance(node, (Add, Sub, Mul, Min, Max)):
-        _collect_abs(node.a, seen)
-        _collect_abs(node.b, seen)
+def _value_tape(root: Node, p: int, r: int) -> tuple:
+    tape, slot = _Tape(), {}
+    for node, (op, a, b), _, _ in _postorder(root, p, r):
+        if op not in _LEAVES:
+            a, b = slot[id(a)], slot[id(b)] if op in _BINARY else b
+        slot[id(node)] = tape.emit(op, a, b)
+    return tuple(tape.ops)
+
+
+def _lowered_tape(root: Node, p: int, r: int) -> tuple[tuple, tuple]:
+    """The tape of F with min(a, b) = (a + b - |a - b|)/2 and max likewise.
+
+    Its abs nodes are switches: structurally equal abs subtrees of the
+    lowered tree share one (the ``eq`` tape tracks that equality), and
+    switches are numbered in the preorder of their first occurrence.
+    Returns (tape, kinks), kinks[k] being the slot of switch k's argument
+    at that occurrence.
+    """
+    low, eq = _Tape(), _Tape(exact=False)
+    switches: dict[int, tuple[float, int]] = {}  # eq abs slot -> (rank, argument)
+    slot: dict[int, tuple[int, int]] = {}  # id(node) -> low and eq slots
+    for node, (op, a, b), rank, last in _postorder(root, p, r):
+        if op in _LEAVES:
+            slot[id(node)] = (low.emit(op, a), eq.emit(op, a))
+            continue
+        la, ca = slot[id(a)]
+        lb, cb = slot[id(b)] if op in _BINARY else (b, b)
+        if op in ("min", "max"):
+            c, _, m = _minmax(eq, op, ca, cb)
+            lslot, d, _ = _minmax(low, op, la, lb, m)
+            # |a - b| follows a and b, and precedes later nodes, in preorder
+            switches.setdefault(m, (last + 0.5, d))
+        elif op == "abs":
+            c = eq.emit(op, ca)
+            switches.setdefault(c, (rank, la))
+            lslot = low.emit(op, la, c)
+        else:
+            c, lslot = eq.emit(op, ca, cb), low.emit(op, la, lb)
+        slot[id(node)] = (lslot, c)
+    order = sorted(switches, key=lambda c: switches[c][0])
+    number = {c: k for k, c in enumerate(order)}
+    lowered = tuple((op, a, number[b]) if op == "abs" else (op, a, b)
+                    for op, a, b in low.ops)
+    return lowered, tuple(switches[c][1] for c in order)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z]+")
+# one token after optional whitespace; the group name is its kind
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+                       r"|(?P<name>[A-Za-z]+)|(?P<op>[-+*(),])|(?P<end>\Z)|(?P<bad>\S))")
 _INT_RE = re.compile(r"\d+$")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.ahead = None  # the next token once peek has scanned it
 
     def _line_col(self, pos: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, pos) + 1
@@ -247,35 +334,24 @@ class _Tokenizer:
         line, col = self._line_col(self.pos if pos is None else pos)
         raise ExprSyntaxError(message, line, col)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def _scan(self) -> tuple[str, str, int, int]:
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind, start = m.lastgroup, m.start(m.lastgroup)
+        if kind == "bad":
+            self.error(f"unexpected character {m.group(kind)!r}", start)
+        return kind, m.group(kind), start, m.end()
 
     def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        """The next token's text, or None at the end; consumes nothing."""
+        if self.ahead is None:
+            self.ahead = self._scan()
+        return self.ahead[1] or None
 
     def next_token(self) -> tuple[str, str, int]:
         """Returns (kind, value, pos); kind in num|name|op|end."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        start = self.pos
-        ch = self.text[start]
-        if ch in "+-*(),":
-            self.pos += 1
-            return ("op", ch, start)
-        m = _NUM_RE.match(self.text, start)
-        if m:
-            self.pos = m.end()
-            return ("num", m.group(), start)
-        m = _NAME_RE.match(self.text, start)
-        if m:
-            self.pos = m.end()
-            return ("name", m.group(), start)
-        self.error(f"unexpected character {ch!r}")
+        kind, value, start, self.pos = self.ahead or self._scan()
+        self.ahead = None
+        return kind, value, start
 
     def expect(self, value: str):
         kind, tok, pos = self.next_token()
@@ -363,10 +439,10 @@ class _Parser:
 
     def _variable(self, block: str, pos: int) -> Var:
         # index digits must be adjacent to the block letter: "x0", "y12"
-        m = re.match(r"\d+", self.tk.text[self.tk.pos:])
+        m = _DIGITS_RE.match(self.tk.text, self.tk.pos)
         if not m:
             self.tk.error(f"variable {block!r} requires an index, e.g. {block}0", pos)
-        self.tk.pos += m.end()
+        self.tk.pos = m.end()
         index = int(m.group())
         dim = self.dim_x if block == "x" else self.dim_y
         if index >= dim:
@@ -377,10 +453,16 @@ class _Parser:
 def parse(text: str, dim_x: int, dim_y: int) -> ExprProgram:
     """Parse a DSL string into an ExprProgram.
 
-    Raises ExprSyntaxError with line/column on malformed input, and on
-    variable indices outside [0, dim) or non-positive-integer exponents.
+    Raises ExprSyntaxError with line/column on malformed input, on
+    variable indices outside [0, dim) or non-positive-integer exponents, and
+    on nesting deeper than the recursive descent can follow.
     """
-    root = _Parser(text, dim_x, dim_y).parse()
+    parser = _Parser(text, dim_x, dim_y)
+    try:
+        root = parser.parse()
+    except RecursionError:
+        line, col = parser.tk._line_col(parser.tk.pos)
+        raise ExprSyntaxError("expression nested too deeply", line, col) from None
     return ExprProgram(root, dim_x, dim_y)
 
 
@@ -427,7 +509,8 @@ def to_text(node: Node | ExprProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation.  Every value is a float64 with numpy's scalar semantics, which
+# Python floats share except in pow: ``_pow`` covers the differences.
 # ---------------------------------------------------------------------------
 
 def _check_dims(prog: ExprProgram, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -440,42 +523,85 @@ def _check_dims(prog: ExprProgram, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _eval_node(node: Node, x, y):
-    # Works elementwise when x/y rows are arrays (used for grid evaluation).
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x[node.index] if node.block == "x" else y[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.a, x, y)
-    if isinstance(node, Add):
-        return _eval_node(node.a, x, y) + _eval_node(node.b, x, y)
-    if isinstance(node, Sub):
-        return _eval_node(node.a, x, y) - _eval_node(node.b, x, y)
-    if isinstance(node, Mul):
-        return _eval_node(node.a, x, y) * _eval_node(node.b, x, y)
-    if isinstance(node, Pow):
-        return _eval_node(node.a, x, y) ** node.n
-    if isinstance(node, Abs):
-        return np.abs(_eval_node(node.a, x, y))
-    if isinstance(node, Min):
-        return np.minimum(_eval_node(node.a, x, y), _eval_node(node.b, x, y))
-    if isinstance(node, Max):
-        return np.maximum(_eval_node(node.a, x, y), _eval_node(node.b, x, y))
-    raise ExprError(f"unknown node type {type(node).__name__}")
+def _pow(a: float, n: int) -> float:
+    """``a ** n`` with numpy's float64 semantics: inf where Python raises."""
+    try:
+        return a ** n
+    except OverflowError:
+        return -math.inf if a < 0 and n % 2 else math.inf
+
+
+_SOURCE = {"x": "x[{a:d}]", "y": "y[{a:d}]", "neg": "-{A}", "abs": "abs({A})",
+           "add": "{A} + {B}", "sub": "{A} - {B}", "mul": "{A} * {B}",
+           "min": "{A} if {A} < {B} or {A} != {A} else {B}",
+           "max": "{A} if {A} > {B} or {A} != {A} else {B}",
+           # below 2**(1023 // n) in magnitude a ** n is finite and Python's
+           # pow is numpy's
+           "pow": "{A} ** {b:d} if -m{i} < {A} < m{i} else _pow({A}, {b:d})"}
+
+
+def _scalar_function(tape: tuple) -> Callable[[list, list], float]:
+    """Compile a value tape to one straight-line Python function over floats.
+
+    Constants and pow bounds are bound by name, never written into the
+    source (inf has no literal, and ``-1.0 ** 2`` would parse as
+    ``-(1.0 ** 2)``); only slot numbers, variable indices and pow exponents,
+    all validated ints, appear as text.  min and max mirror np.minimum and
+    np.maximum, signed zeros and NaN included.
+    """
+    env = {"_pow": _pow}
+    names, lines = [], ["def f(x, y):"]
+    for i, (op, a, b) in enumerate(tape):
+        if op == "const":
+            names.append(f"c{i}")
+            env[f"c{i}"] = a
+            continue
+        if op == "pow":
+            env[f"m{i}"] = 2.0 ** (1023 // b)
+        A = "" if op in ("x", "y") else names[a]
+        B = names[b] if op in _BINARY else ""
+        lines.append(f"    t{i} = " + _SOURCE[op].format(a=a, b=b, i=i, A=A, B=B))
+        names.append(f"t{i}")
+    lines.append(f"    return {names[-1]}")
+    exec(compile("\n".join(lines), "<ExprProgram>", "exec"), env)
+    return env["f"]
+
+
+# numpy operations of eval_many; unary ones take and ignore b, except pow
+_ARRAY_OPS = {"const": np.float64, "neg": lambda a, _: -a,
+              "abs": lambda a, _: np.abs(a), "pow": operator.pow,
+              "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "min": np.minimum, "max": np.maximum}
+
+
+def _run(tape: tuple, x, y, ops: dict) -> list:
+    """Values of every slot of ``tape``, computed with ``ops``."""
+    v = []
+    for op, a, b in tape:
+        if op == "const":
+            v.append(ops["const"](a))
+        elif op in ("x", "y"):
+            v.append((x if op == "x" else y)[a])
+        else:
+            v.append(ops[op](v[a], v[b] if op in _BINARY else b))
+    return v
 
 
 def eval(prog: ExprProgram, x, y) -> float:  # noqa: A001 - deliberate shadow
-    """Evaluate F(x, y) by exact recursive descent (native min/max)."""
+    """Evaluate F(x, y) exactly (native min/max)."""
     x, y = _check_dims(prog, x, y)
-    return float(_eval_node(prog.root, x, y))
+    return prog.scalar(x.tolist(), y.tolist())
 
 
 def eval_many(prog: ExprProgram, x, ys: np.ndarray) -> np.ndarray:
-    """Evaluate F(x, y) for each row of ``ys`` (shape (N, r)) at fixed x."""
-    x = np.asarray(x, dtype=float)
-    cols = [ys[:, j] for j in range(ys.shape[1])]
-    out = _eval_node(prog.root, x, cols)
+    """Evaluate F(x, y) for each row of ``ys`` (shape (N, r)) at fixed x.
+
+    The y-variables are the columns of ``ys``; values agree with ``eval``
+    except that numpy's array pow may differ from its scalar pow in the last
+    bit.
+    """
+    x, cols = _check_dims(prog, x, np.asarray(ys).T)
+    out = _run(prog.tape, x, cols, _ARRAY_OPS)[-1]
     return np.broadcast_to(np.asarray(out, dtype=float), (ys.shape[0],)).copy()
 
 
@@ -483,55 +609,48 @@ def eval_many(prog: ExprProgram, x, ys: np.ndarray) -> np.ndarray:
 # Selection gradients
 # ---------------------------------------------------------------------------
 
-def _eval_grad(node: Node, x, y, signs: dict[Abs, float], dim: int,
-               xoff: int, yoff: int):
-    """Forward-mode value+gradient of one smooth selection (lowered tree)."""
-    if isinstance(node, Const):
-        return node.value, np.zeros(dim)
-    if isinstance(node, Var):
-        g = np.zeros(dim)
-        if node.block == "x":
-            g[xoff + node.index] = 1.0
-            return x[node.index], g
-        g[yoff + node.index] = 1.0
-        return y[node.index], g
-    if isinstance(node, Neg):
-        v, g = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        return -v, -g
-    if isinstance(node, Add):
-        va, ga = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        vb, gb = _eval_grad(node.b, x, y, signs, dim, xoff, yoff)
-        return va + vb, ga + gb
-    if isinstance(node, Sub):
-        va, ga = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        vb, gb = _eval_grad(node.b, x, y, signs, dim, xoff, yoff)
-        return va - vb, ga - gb
-    if isinstance(node, Mul):
-        va, ga = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        vb, gb = _eval_grad(node.b, x, y, signs, dim, xoff, yoff)
-        return va * vb, vb * ga + va * gb
-    if isinstance(node, Pow):
-        va, ga = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        return va ** node.n, node.n * va ** (node.n - 1) * ga
-    if isinstance(node, Abs):
-        va, ga = _eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        if node in signs:
-            s = signs[node]
-        else:
-            s = 1.0 if va > 0 else (-1.0 if va < 0 else 0.0)
-        return abs(va), s * ga
-    raise ExprError(f"unknown node type {type(node).__name__}")
+# forward mode over (value, gradient) pairs; _duals adds const and abs
+_DUAL_OPS = {"neg": lambda a, _: (-a[0], -a[1]),
+             "pow": lambda a, n: (_pow(a[0], n), n * _pow(a[0], n - 1) * a[1]),
+             "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+             "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+             "mul": lambda a, b: (a[0] * b[0], b[0] * a[1] + a[0] * b[1])}
+
+
+def _duals(prog: ExprProgram, x: np.ndarray, y: np.ndarray, signs: dict) -> list:
+    """(value, gradient) of every lowered slot: one smooth selection per branch.
+
+    ``signs`` maps a switch to its fixed sign, a float or a column with one
+    row per branch; every other abs takes the sign of its argument.  Values
+    are floats, gradients have shape (dim,) or (branches, dim).  The per-op
+    formulas are the classical ones with no shortcut for zero gradients: the
+    signs of zeros reach the callers' byte-level deduplication.
+    """
+    eye = np.eye(prog.dim_x + prog.dim_y)
+    zero = np.zeros(prog.dim_x + prog.dim_y)
+
+    def abs_(a, k):
+        s = signs.get(k)
+        if s is None:
+            s = 1.0 if a[0] > 0 else (-1.0 if a[0] < 0 else 0.0)
+        return abs(a[0]), s * a[1]
+
+    ops = dict(_DUAL_OPS, const=lambda c: (c, zero), abs=abs_)
+    return _run(prog.lowered[0], list(zip(x.tolist(), eye)),
+                list(zip(y.tolist(), eye[prog.dim_x:])), ops)
 
 
 def kink_args(prog: ExprProgram, x, y) -> list[float]:
     """Argument values of the unique abs kinks at (x, y), in preorder."""
     x, y = _check_dims(prog, x, y)
-    return [float(_eval_node(node.a, x, y)) for node in prog.abs_nodes]
+    duals = _duals(prog, x, y, {})
+    return [duals[s][0] for s in prog.lowered[1]]
 
 
-def _active_kinks(prog: ExprProgram, x, y, eps_kink: float) -> list[Abs]:
-    vals = kink_args(prog, x, y)
-    return [node for node, v in zip(prog.abs_nodes, vals) if abs(v) <= eps_kink]
+def _active_kinks(prog: ExprProgram, x, y, eps_kink: float) -> tuple[list, list[int]]:
+    """The duals with no sign fixed, and the switches whose kink is active."""
+    duals = _duals(prog, x, y, {})
+    return duals, [k for k, s in enumerate(prog.lowered[1]) if abs(duals[s][0]) <= eps_kink]
 
 
 _TIE_SIGMA = {"left": -1.0, "right": 1.0, "zero": 0.0}
@@ -551,13 +670,12 @@ def grad_select(prog: ExprProgram, x, y, tie_policy: str = "zero",
     if tie_policy not in _TIE_SIGMA:
         raise ExprError(f"tie_policy must be one of {sorted(_TIE_SIGMA)}")
     sigma = _TIE_SIGMA[tie_policy]
-    active = _active_kinks(prog, x, y, eps_kink)
-    signs = {node: sigma for node in active}
-    dim = prog.dim_x + prog.dim_y
-    _, g = _eval_grad(prog.lowered, x, y, signs, dim, 0, prog.dim_x)
-    branch_id = _SIGMA_CHAR[sigma] * len(active)
+    duals, active = _active_kinks(prog, x, y, eps_kink)
+    if active:
+        duals = _duals(prog, x, y, dict.fromkeys(active, sigma))
+    g = duals[-1][1]
     return GradElement(u=g[:prog.dim_x].copy(), v=g[prog.dim_x:].copy(),
-                       branch_id=branch_id)
+                       branch_id=_SIGMA_CHAR[sigma] * len(active))
 
 
 def subdiff_sample(prog: ExprProgram, x, y, max_branches: int,
@@ -568,37 +686,36 @@ def subdiff_sample(prog: ExprProgram, x, y, max_branches: int,
     means sign +1 at kink j), so the output is deterministic.  When 2^k
     exceeds ``max_branches`` the enumeration is truncated (the all-plus
     branch is still forced in, so both one-sided grad_select elements are
-    always present) and the sample is marked incomplete.
+    always present) and the sample is marked incomplete.  All branches go
+    through one gradient pass, one row each.
     """
     x, y = _check_dims(prog, x, y)
     if max_branches < 1:
         raise ExprError("max_branches must be >= 1")
-    active = _active_kinks(prog, x, y, eps_kink)
+    duals, active = _active_kinks(prog, x, y, eps_kink)
     k = len(active)
     total = 1 << k
     incomplete = total > max_branches
     indices = list(range(min(total, max_branches)))
-    if incomplete and (total - 1) not in indices:
+    if incomplete:
         indices.append(total - 1)
 
-    dim = prog.dim_x + prog.dim_y
+    ids = ["".join("+" if (idx >> j) & 1 else "-" for j in range(k))
+           for idx in indices]
+    signs = np.array([[1.0 if c == "+" else -1.0 for c in bid] for bid in ids])
+    if active:
+        duals = _duals(prog, x, y, {s: signs[:, j:j + 1] for j, s in enumerate(active)})
+    rows = np.broadcast_to(duals[-1][1], (len(indices), prog.dim_x + prog.dim_y))
     elements: list[GradElement] = []
     seen: set[bytes] = set()
-    for idx in indices:
-        signs = {}
-        chars = []
-        for j, node in enumerate(active):
-            s = 1.0 if (idx >> j) & 1 else -1.0
-            signs[node] = s
-            chars.append(_SIGMA_CHAR[s])
-        _, g = _eval_grad(prog.lowered, x, y, signs, dim, 0, prog.dim_x)
-        key = g.tobytes()
+    for row, branch_id in zip(rows, ids):
+        key = row.tobytes()
         if key in seen:
             continue
         seen.add(key)
-        elements.append(GradElement(u=g[:prog.dim_x].copy(),
-                                    v=g[prog.dim_x:].copy(),
-                                    branch_id="".join(chars)))
+        elements.append(GradElement(u=row[:prog.dim_x].copy(),
+                                    v=row[prog.dim_x:].copy(),
+                                    branch_id=branch_id))
     return SubdiffSample(elements=elements, incomplete=incomplete)
 
 

@@ -172,21 +172,26 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
         order = np.argsort(-vals, kind="stable")
         pick = order[:n_starts]
 
-    cell = [(box.upper[j] - box.lower[j]) / (grid_n - 1) for j in range(r)]
+    # the ascent runs on Python floats through the compiled scalar function;
+    # eval_many above has already checked the dimensions
+    f = prog.scalar
+    xl = x.tolist()
+    lower, upper = box.lower.tolist(), box.upper.tolist()
+    cell = [(upper[j] - lower[j]) / (grid_n - 1) for j in range(r)]
     candidates: list[tuple[np.ndarray, float]] = []
     for idx in pick:
-        y = ys[idx].copy()
+        y = ys[idx].tolist()
         fy = float(vals[idx])
         for _ in range(3 * r):
             improved = False
             for j in range(r):
-                lo = max(box.lower[j], y[j] - cell[j])
-                hi = min(box.upper[j], y[j] + cell[j])
+                lo = max(lower[j], y[j] - cell[j])
+                hi = min(upper[j], y[j] + cell[j])
+                yt = y.copy()
 
-                def f1(t, j=j):
-                    yt = y.copy()
+                def f1(t, j=j, yt=yt):
                     yt[j] = t
-                    return _expr.eval(prog, x, yt)
+                    return f(xl, yt)
 
                 t, ft = _golden_max(f1, lo, hi, tol_y)
                 if ft > fy + 1e-15:
@@ -195,8 +200,7 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
                     improved = True
             if not improved:
                 break
-        y, fy = _snap(prog, x, y, fy, box)
-        candidates.append((y, fy))
+        candidates.append(_snap(prog, x, np.array(y), fy, box))
 
     best_val = max(fv for _, fv in candidates)
     kept: list[np.ndarray] = []

@@ -171,9 +171,9 @@ def _validate(spec: ProblemSpec, n_points: int = 100, seed: int = 20240109):
     """Check closed form and known value against the grid oracle."""
     rng = np.random.Generator(np.random.Philox(seed))
     lo, hi = spec.validation_range
-    xs = rng.uniform(lo, hi, size=n_points)
-    for xv in xs:
-        x = np.array([xv])
+    xs = rng.uniform(lo, hi, size=(n_points, spec.prog.dim_x))
+    for x in xs:
+        xv = x[0] if x.shape[0] == 1 else x  # known values of p = 1 take a float
         am = _oracles.argmax_grid_refine(spec.prog, x, spec.box)
         if spec.known_value is not None:
             if abs(am.value - spec.known_value(xv)) > 1e-6:
@@ -219,6 +219,9 @@ def _load_file(path: str) -> ProblemSpec:
     prog = _expr.parse(data["expr"], int(data["dim_x"]), int(data["dim_y"]))
     box = _oracles.YBox(np.atleast_1d(np.asarray(data["box_lower"], dtype=float)),
                         np.atleast_1d(np.asarray(data["box_upper"], dtype=float)))
+    if box.r != prog.dim_y:
+        raise ValueError(f"problem file {path!r}: box has {box.r} bounds, "
+                         f"dim_y is {prog.dim_y}")
     known = None
     known_text = data.get("known_value_expr")
     if known_text:

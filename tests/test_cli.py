@@ -102,6 +102,34 @@ class TestCertify:
         assert _run(["certify", "--problem", "nope", "--x0", "0",
                      "--out", str(tmp_path)]) == 2
 
+    def _problem(self, tmp_path, **fields):
+        data = {"id": "custom", "dim_x": 1, "dim_y": 2, "expr": "-abs(x0 - y0)",
+                "box_lower": [-5.0, -5.0], "box_upper": [5.0, 5.0], **fields}
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_box_length_mismatch_exit_2(self, tmp_path, capsys):
+        prob = self._problem(tmp_path, box_lower=[-5.0], box_upper=[5.0])
+        assert _run(["certify", "--problem", prob, "--x0", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        prob = self._problem(tmp_path, expr="(" * 500 + "x0" + ")" * 500)
+        assert _run(["certify", "--problem", prob, "--x0", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_two_dimensional_x(self, tmp_path):
+        prob = self._problem(tmp_path, id="two", dim_x=2, dim_y=1,
+                             expr="-abs(x0 + x1 - y0)", box_lower=[-5.0],
+                             box_upper=[5.0])
+        assert _run(["certify", "--problem", prob, "--x0", "0", "0",
+                     "--out", str(tmp_path)]) in (0, 1)
+        cert = json.load(open(os.path.join(str(tmp_path), "certificate.json")))
+        assert cert["problem"] == "two" and len(cert["x"]) == 2
+
 
 class TestFractal:
     def test_all_diagnostics(self, tmp_path):

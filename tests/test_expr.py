@@ -73,6 +73,37 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("x + y0", 1, 1)
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        assert parse("(" * 100 + "x0" + ")" * 100, 1, 1).root == expr.Var("x", 0)
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse("(" * 500 + "x0" + ")" * 500, 1, 1)
+
+    @pytest.mark.parametrize("node", [
+        expr.Var("x", 1), expr.Var("z", 0), expr.Var("x", 0.0),
+        expr.Pow(expr.Var("x", 0), 0), expr.Add(expr.Var("y", 0), "y0"),
+        expr.Neg(expr.Const("1"))])
+    def test_invalid_program_fails_at_construction(self, node):
+        with pytest.raises(ExprError):
+            expr.ExprProgram(node, 1, 1)
+
+
+class TestDeep:
+    # F(x, y) = sum_k |y0 - k| for k = 0..2999: a left-nested 3000-term sum
+    PROG = parse(" + ".join(f"abs(y0 - {k})" for k in range(3000)), 1, 1)
+
+    def test_eval(self):
+        # 0.5 + sum_{k=1}^{2999} (k - 0.5), exact in floats
+        assert expr.eval(self.PROG, [0.0], [0.5]) == 4497001.0
+        ys = np.array([[0.5], [2999.0]])
+        assert expr.eval_many(self.PROG, [0.0], ys).tolist() == \
+            [4497001.0, 2999 * 3000 / 2]
+
+    def test_subdiff_sample(self):
+        ss = subdiff_sample(self.PROG, [0.0], [7.0], 8)
+        # 7 kinks below y0 = 7, 2992 above, and the active one either way
+        assert [e.v[0] for e in ss] == [-2986.0, -2984.0]
+        assert [e.branch_id for e in ss] == ["-", "+"]
+
 
 class TestEval:
     def test_convex_hull_at_0_1(self):
