@@ -9,7 +9,8 @@ a query point exactly when the argument of one of the lowered abs nodes
 vanishes (up to ``eps_kink``).  Gradients of individual smooth selections
 are obtained by fixing a sign for each active abs node and running forward
 differentiation; every such selection gradient is an element of the Clarke
-subdifferential of F.
+subdifferential of F.  Programs are compiled once to flat tapes, and all
+evaluation runs on those; see ExprProgram.
 """
 
 from __future__ import annotations
@@ -190,17 +191,15 @@ _LEAVES = frozenset(("const", "x", "y"))
 class _Tape:
     """Hash-consed instruction list: one slot per distinct instruction.
 
-    Constants are told apart by bit pattern, so 0.0 and -0.0 get two slots,
-    unless ``exact`` is false: then they compare as the AST dataclasses do.
+    Constants are told apart by bit pattern, so 0.0 and -0.0 get two slots.
     """
 
-    def __init__(self, exact: bool = True):
+    def __init__(self):
         self.ops: list[tuple] = []
         self.slots: dict[tuple, int] = {}
-        self.exact = exact
 
     def emit(self, op: str, a, b=0) -> int:
-        key = (op, struct.pack("<d", a) if self.exact and op == "const" else a, b)
+        key = (op, struct.pack("<d", a) if op == "const" else a, b)
         if key not in self.slots:
             self.slots[key] = len(self.ops)
             self.ops.append((op, a, b))
@@ -275,17 +274,18 @@ def _lowered_tape(root: Node, p: int, r: int) -> tuple[tuple, tuple]:
     """The tape of F with min(a, b) = (a + b - |a - b|)/2 and max likewise.
 
     Its abs nodes are switches: structurally equal abs subtrees of the
-    lowered tree share one (the ``eq`` tape tracks that equality), and
-    switches are numbered in the preorder of their first occurrence.
+    lowered tree share one, and switches are numbered in the preorder of
+    their first occurrence.  The ``eq`` tape tracks that equality, under
+    which a 0.0 and a -0.0 constant are equal, as AST dataclasses compare.
     Returns (tape, kinks), kinks[k] being the slot of switch k's argument
     at that occurrence.
     """
-    low, eq = _Tape(), _Tape(exact=False)
+    low, eq = _Tape(), _Tape()
     switches: dict[int, tuple[float, int]] = {}  # eq abs slot -> (rank, argument)
     slot: dict[int, tuple[int, int]] = {}  # id(node) -> low and eq slots
     for node, (op, a, b), rank, last in _postorder(root, p, r):
-        if op in _LEAVES:
-            slot[id(node)] = (low.emit(op, a), eq.emit(op, a))
+        if op in _LEAVES:  # a + 0.0 turns -0.0 into 0.0
+            slot[id(node)] = (low.emit(op, a), eq.emit(op, a + 0.0 if op == "const" else a))
             continue
         la, ca = slot[id(a)]
         lb, cb = slot[id(b)] if op in _BINARY else (b, b)
@@ -409,30 +409,22 @@ class _Parser:
         if kind == "name":
             if tok in ("x", "y"):
                 return self._variable(tok, pos)
-            if tok == "abs":
+            if tok in ("abs", "min", "max", "pow"):
                 self.tk.expect("(")
                 a = self.expr()
+                if tok == "abs":
+                    node = Abs(a)
+                elif tok == "pow":
+                    self.tk.expect(",")
+                    nk, ntok, npos = self.tk.next_token()
+                    if nk != "num" or not _INT_RE.match(ntok) or int(ntok) < 1:
+                        self.tk.error("pow exponent must be a positive integer", npos)
+                    node = Pow(a, int(ntok))
+                else:
+                    self.tk.expect(",")
+                    node = (Min if tok == "min" else Max)(a, self.expr())
                 self.tk.expect(")")
-                return Abs(a)
-            if tok in ("min", "max"):
-                self.tk.expect("(")
-                a = self.expr()
-                self.tk.expect(",")
-                b = self.expr()
-                self.tk.expect(")")
-                return Min(a, b) if tok == "min" else Max(a, b)
-            if tok == "pow":
-                self.tk.expect("(")
-                a = self.expr()
-                self.tk.expect(",")
-                nk, ntok, npos = self.tk.next_token()
-                if nk != "num" or not _INT_RE.match(ntok):
-                    self.tk.error("pow exponent must be a positive integer", npos)
-                n = int(ntok)
-                if n < 1:
-                    self.tk.error("pow exponent must be a positive integer", npos)
-                self.tk.expect(")")
-                return Pow(a, n)
+                return node
             self.tk.error(f"unknown function or variable {tok!r}", pos)
         self.tk.error(f"expected an atom, got {tok!r}" if tok else "unexpected end of input",
                       pos)

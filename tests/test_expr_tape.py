@@ -273,24 +273,20 @@ CASES = [(seed, 1 + seed % 2, 1 + (seed // 2) % 2 + (seed % 7 == 0))
          for seed in range(120)]
 
 
-@pytest.mark.parametrize("seed,p,r", CASES)
-def test_compiled_paths_match_reference(seed, p, r):
-    rng = random.Random(seed)
-    root = random_tree(rng, 4, p, r, [])
+def check_against_reference(root, p, r, points):
+    """Every compiled path at each (x, ys) point; ys[0] is the y of the
+    scalar paths."""
     prog = ExprProgram(root, p, r)
     ref = Ref(root, p, r)
     with np.errstate(all="ignore"):
-        for _ in range(2):
-            x, y = random_point(rng, p), random_point(rng, r)
+        for x, ys in points:
+            y = ys[0]
             assert array_bits(expr.eval(prog, x, y)) == \
                 array_bits(ref_eval(ref, x, y))
             assert array_bits(expr.kink_args(prog, x, y)) == \
                 array_bits(ref_kink_args(ref, x, y))
-
-            ys = np.array([y] + [random_point(rng, r) for _ in range(4)])
             assert array_bits(expr.eval_many(prog, x, ys)) == \
                 array_bits(ref_eval_many(ref, x, ys))
-
             for eps_kink in (0.0, 1e-9):
                 for policy in ("left", "right", "zero"):
                     g = expr.grad_select(prog, x, y, policy, eps_kink)
@@ -304,3 +300,25 @@ def test_compiled_paths_match_reference(seed, p, r):
                     got = [(e.u, e.v, e.branch_id) for e in ss]
                     assert (canonical(got), ss.incomplete) == \
                         (canonical(want), incomplete)
+
+
+@pytest.mark.parametrize("seed,p,r", CASES)
+def test_random_programs_match_reference(seed, p, r):
+    rng = random.Random(seed)
+    root = random_tree(rng, 4, p, r, [])
+    points = [(random_point(rng, p),
+               np.array([random_point(rng, r) for _ in range(5)]))
+              for _ in range(2)]
+    check_against_reference(root, p, r, points)
+
+
+@pytest.mark.parametrize("text", [
+    "pow(x0, 3) + pow(y0, 2)", "pow(x0 - y0, 5)*y0", "-pow(abs(x0), 4)",
+    "min(x0, y0) - max(-0.0, y0)", "abs(x0 - y0) + min(x0, 0) + max(y0, -0)",
+    "pow(1e999, 3) - pow(-1e999, 3) + x0*pow(-2.5, 5)"])
+def test_edge_values_match_reference(text):
+    """Overflowing pow of either sign, ties at +-0.0, infinities and NaN."""
+    root = expr.parse(text, 1, 1).root
+    edge = [-1e155, 1e155, -0.0, 0.0, math.inf, -math.inf, math.nan, 2.0]
+    points = [([a], np.array([[b], [a], [-b]])) for a in edge for b in edge]
+    check_against_reference(root, 1, 1, points)
