@@ -284,8 +284,9 @@ def _lowered_tape(root: Node, p: int, r: int) -> tuple[tuple, tuple]:
     switches: dict[int, tuple[float, int]] = {}  # eq abs slot -> (rank, argument)
     slot: dict[int, tuple[int, int]] = {}  # id(node) -> low and eq slots
     for node, (op, a, b), rank, last in _postorder(root, p, r):
-        if op in _LEAVES:  # a + 0.0 turns -0.0 into 0.0
-            slot[id(node)] = (low.emit(op, a), eq.emit(op, a + 0.0 if op == "const" else a))
+        if op in _LEAVES:  # for eq, a + 0.0 turns a -0.0 constant into 0.0
+            slot[id(node)] = (low.emit(op, a),
+                              eq.emit(op, a + 0.0 if op == "const" else a))
             continue
         la, ca = slot[id(a)]
         lb, cb = slot[id(b)] if op in _BINARY else (b, b)

@@ -172,8 +172,8 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
         order = np.argsort(-vals, kind="stable")
         pick = order[:n_starts]
 
-    # the ascent runs on Python floats through the compiled scalar function;
-    # eval_many above has already checked the dimensions
+    # the ascent calls the generated scalar function on Python floats;
+    # eval_many has checked the dimensions
     f = prog.scalar
     xl = x.tolist()
     lower, upper = box.lower.tolist(), box.upper.tolist()
