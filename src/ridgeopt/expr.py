@@ -170,6 +170,10 @@ class ExprProgram:
         """
         return _scalar_function(self.tape)
 
+    def __reduce__(self):
+        # rebuilt from the tree: the generated function cannot be pickled
+        return ExprProgram, (self.root, self.dim_x, self.dim_y)
+
     def __str__(self) -> str:
         return to_text(self.root)
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ class TestParse:
     def test_invalid_program_fails_at_construction(self, node):
         with pytest.raises(ExprError):
             expr.ExprProgram(node, 1, 1)
+
+
+class TestPickle:
+    def test_compiled_program_round_trips(self):
+        prog = parse(PO_FAILURE, 1, 1)
+        value = expr.eval(prog, [0.5], [0.25])
+        kinks = kink_args(prog, [0.5], [0.25])
+        again = pickle.loads(pickle.dumps(prog))
+        assert again == prog
+        assert expr.eval(again, [0.5], [0.25]) == value
+        assert kink_args(again, [0.5], [0.25]) == kinks
 
 
 class TestDeep:
