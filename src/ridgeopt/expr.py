@@ -158,9 +158,11 @@ class ExprProgram:
         object.__setattr__(self, "tape", _value_tape(self.root, self.dim_x, self.dim_y))
 
     @cached_property
-    def lowered(self) -> tuple[tuple, tuple]:
-        """(tape, kinks) of F with min/max rewritten through abs; see _lowered_tape."""
-        return _lowered_tape(self.root, self.dim_x, self.dim_y)
+    def lowered(self) -> tuple[tuple, tuple, np.ndarray]:
+        """(tape, kinks) of F with min/max rewritten through abs (see
+        _lowered_tape), and the rows of the identity, the variables' gradients."""
+        return (*_lowered_tape(self.root, self.dim_x, self.dim_y),
+                np.eye(self.dim_x + self.dim_y))
 
     @cached_property
     def scalar(self) -> Callable[[list, list], float]:
@@ -623,8 +625,8 @@ def _duals(prog: ExprProgram, x: np.ndarray, y: np.ndarray, signs: dict) -> list
     formulas are the classical ones with no shortcut for zero gradients: the
     signs of zeros reach the callers' byte-level deduplication.
     """
-    eye = np.eye(prog.dim_x + prog.dim_y)
-    zero = np.zeros(prog.dim_x + prog.dim_y)
+    tape, _, eye = prog.lowered
+    zero = np.zeros(len(eye))
 
     def abs_(a, k):
         s = signs.get(k)
@@ -633,7 +635,7 @@ def _duals(prog: ExprProgram, x: np.ndarray, y: np.ndarray, signs: dict) -> list
         return abs(a[0]), s * a[1]
 
     ops = dict(_DUAL_OPS, const=lambda c: (c, zero), abs=abs_)
-    return _run(prog.lowered[0], list(zip(x.tolist(), eye)),
+    return _run(tape, list(zip(x.tolist(), eye)),
                 list(zip(y.tolist(), eye[prog.dim_x:])), ops)
 
 
@@ -699,10 +701,11 @@ def subdiff_sample(prog: ExprProgram, x, y, max_branches: int,
 
     ids = ["".join("+" if (idx >> j) & 1 else "-" for j in range(k))
            for idx in indices]
-    signs = np.array([[1.0 if c == "+" else -1.0 for c in bid] for bid in ids])
     if active:
+        signs = np.array([[1.0 if c == "+" else -1.0 for c in bid] for bid in ids])
         duals = _duals(prog, x, y, {s: signs[:, j:j + 1] for j, s in enumerate(active)})
-    rows = np.broadcast_to(duals[-1][1], (len(indices), prog.dim_x + prog.dim_y))
+    g = duals[-1][1]
+    rows = g if g.ndim == 2 else [g] * len(ids)  # no sign reached the root
     elements: list[GradElement] = []
     seen: set[bytes] = set()
     for row, branch_id in zip(rows, ids):
