@@ -143,8 +143,8 @@ class ExprProgram:
     """F(x, y) over dim_x x-variables and dim_y y-variables.
 
     Construction validates ``root`` and compiles it to ``tape``, which
-    computes F with native min/max; ``lowered`` and ``scalar`` are built
-    from the tree on first use.
+    computes F with native min/max; ``lowered`` and ``scalar`` are built on
+    first use.
     """
 
     root: Node
