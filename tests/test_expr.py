@@ -100,19 +100,22 @@ class TestPickle:
         assert kink_args(again, [0.5], [0.25]) == kinks
 
 
-class TestDeep:
-    # F(x, y) = sum_k |y0 - k| for k = 0..2999: a left-nested 3000-term sum
-    PROG = parse(" + ".join(f"abs(y0 - {k})" for k in range(3000)), 1, 1)
+@pytest.fixture(scope="module")
+def deep_sum():
+    """F(x, y) = sum_k |y0 - k| for k = 0..2999: a left-nested 3000-term sum."""
+    return parse(" + ".join(f"abs(y0 - {k})" for k in range(3000)), 1, 1)
 
-    def test_eval(self):
+
+class TestDeep:
+    def test_eval(self, deep_sum):
         # 0.5 + sum_{k=1}^{2999} (k - 0.5), exact in floats
-        assert expr.eval(self.PROG, [0.0], [0.5]) == 4497001.0
+        assert expr.eval(deep_sum, [0.0], [0.5]) == 4497001.0
         ys = np.array([[0.5], [2999.0]])
-        assert expr.eval_many(self.PROG, [0.0], ys).tolist() == \
+        assert expr.eval_many(deep_sum, [0.0], ys).tolist() == \
             [4497001.0, 2999 * 3000 / 2]
 
-    def test_subdiff_sample(self):
-        ss = subdiff_sample(self.PROG, [0.0], [7.0], 8)
+    def test_subdiff_sample(self, deep_sum):
+        ss = subdiff_sample(deep_sum, [0.0], [7.0], 8)
         # 7 kinks below y0 = 7, 2992 above, and the active one either way
         assert [e.v[0] for e in ss] == [-2986.0, -2984.0]
         assert [e.branch_id for e in ss] == ["-", "+"]
