@@ -1,10 +1,12 @@
 """Golden digests of seeded outputs.
 
 Each test recomputes an output the package writes or returns and compares
-its sha256 with a digest recorded from the recursive AST interpreter that
-preceded the compiled expression tape.  A change to expression evaluation,
-the oracles or the ridge loop that moves a single byte of a trajectory,
-report, certificate or subdifferential sample fails here.
+its sha256 with a digest recorded from the code that preceded a rewrite:
+the recursive AST interpreter that preceded the compiled expression tape,
+and the sort-based fractal sweeps that preceded the linear ones.  A change
+to expression evaluation, the oracles, the ridge loop or the fractal
+diagnostics that moves a single byte of a trajectory, report, certificate,
+subdifferential sample or fractal CSV fails here.
 """
 
 import hashlib
@@ -167,3 +169,28 @@ def subdiff_digest(i) -> str:
 @pytest.mark.parametrize("i", sorted(SUBDIFF))
 def test_subdiff_sample(i):
     assert subdiff_digest(i) == SUBDIFF[i]
+
+
+# ---------------------------------------------------------------------------
+# ridgeopt fractal CSVs
+# ---------------------------------------------------------------------------
+
+FRACTAL_CSVS = {
+    "po.csv":
+        "358f3253e18886d0869fb013b93f837b76d399043210d37c62eef41e472331ed",
+    "probes.csv":
+        "0a68db77f6dbb40673da77a9e37e58cdc053ff269fd8afe9e0111582ab8145e0",
+    "projections.csv":
+        "6eb03ad08fa9cdb1e78c1156fd38c4fbb49ac6e926d5e91f860e94ef2e254f23",
+    "tv.csv":
+        "6c9efa0ff0d0c7c71a3baed500c353aebff10b9590f88d9908eafe8da189616c",
+}
+
+
+def test_fractal_csvs(tmp_path):
+    code = cli.main(["fractal", "--depth-min", "0", "--depth-max", "10",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    digests = {name: _sha((tmp_path / name).read_bytes())
+               for name in FRACTAL_CSVS}
+    assert digests == FRACTAL_CSVS
