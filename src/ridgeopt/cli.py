@@ -30,6 +30,12 @@ from . import problems as _problems
 from . import ridge as _ridge
 
 _DIAGNOSTICS = ("projections", "tv", "probes", "po")
+_CSV_HEADERS = {
+    "projections": ["depth", "axis_x", "axis_y", "rot_1_2", "rot_2_1"],
+    "tv": ["depth", "tv_lower_bound"],
+    "probes": ["depth", "max_angular_gap", "n_directions"],
+    "po": ["depth", "po_min_norm", "atom_min", "atom_max"],
+}
 _STALL_X = 0.5  # abscissa of the fractal stall demo
 _PROBE_DIRS = 64
 
@@ -44,9 +50,8 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
+def _merged(args: argparse.Namespace, cfg: dict, keys: list[str]) -> dict:
     """Config-file values overridden by explicitly passed flags."""
-    cfg = _load_config(getattr(args, "config", None))
     out = {k: cfg[k] for k in keys if k in cfg}
     for k in keys:
         v = getattr(args, k, None)
@@ -55,8 +60,7 @@ def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
     return out
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    cfg = _load_config(getattr(args, "config", None))
+def _out_dir(args: argparse.Namespace, cfg: dict) -> str:
     return args.out or cfg.get("out") or "."
 
 
@@ -78,8 +82,8 @@ def _oracle_settings(merged: dict) -> _ridge.OracleSettings:
     )
 
 
-def _run_config(args: argparse.Namespace) -> _ridge.RunConfig:
-    merged = _merged(args, ["problem", "x0", "alpha0", "gamma", "iters",
+def _run_config(args: argparse.Namespace, cfg: dict) -> _ridge.RunConfig:
+    merged = _merged(args, cfg, ["problem", "x0", "alpha0", "gamma", "iters",
                             "atom_rule", "seed", "tol"] + _ORACLE_KEYS)
     if "problem" not in merged:
         raise ValueError("a problem id or file is required (--problem)")
@@ -104,8 +108,9 @@ def _run_config(args: argparse.Namespace) -> _ridge.RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        config = _run_config(args)
-        out_dir = _out_dir(args)
+        cfg = _load_config(args.config)
+        config = _run_config(args, cfg)
+        out_dir = _out_dir(args, cfg)
         os.makedirs(out_dir, exist_ok=True)
         traj, report = _ridge.run(config)
         with open(os.path.join(out_dir, "trajectory.jsonl"), "w") as fh:
@@ -127,7 +132,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
-        merged = _merged(args, ["problem", "x0", "tol"] + _ORACLE_KEYS)
+        cfg = _load_config(args.config)
+        merged = _merged(args, cfg, ["problem", "x0", "tol"] + _ORACLE_KEYS)
         if "problem" not in merged or "x0" not in merged:
             raise ValueError("certify needs --problem and --x0")
         x0 = merged["x0"]
@@ -137,7 +143,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         tol = float(merged.get("tol", 1e-6))
         spec = _problems.load_problem(str(merged["problem"]))
         cert = _ridge.certify_po_critical(spec, x0, settings, tol)
-        out_dir = _out_dir(args)
+        out_dir = _out_dir(args, cfg)
         os.makedirs(out_dir, exist_ok=True)
         payload = {"problem": spec.id, **cert.to_dict()}
         with open(os.path.join(out_dir, "certificate.json"), "w") as fh:
@@ -162,7 +168,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_fractal(args: argparse.Namespace) -> int:
     try:
-        merged = _merged(args, ["depth_min", "depth_max", "diag"])
+        cfg = _load_config(args.config)
+        merged = _merged(args, cfg, ["depth_min", "depth_max", "diag"])
         depth_min = int(merged.get("depth_min", 0))
         depth_max = int(merged.get("depth_max", 8))
         if not 0 <= depth_min <= depth_max <= _fractal.MAX_DEPTH:
@@ -174,54 +181,40 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         if unknown:
             raise ValueError(f"unknown diagnostics {sorted(unknown)}; "
                              f"choose from {_DIAGNOSTICS}")
-        out_dir = _out_dir(args)
+        out_dir = _out_dir(args, cfg)
         os.makedirs(out_dir, exist_ok=True)
-        depths = list(range(depth_min, depth_max + 1))
 
-        if "projections" in diags:
-            rows = []
-            for d in depths:
-                F = _fractal.build_fractal(d)
-                rows.append([d,
-                             float(_fractal.axis_projection_length(F, "x")),
-                             float(_fractal.axis_projection_length(F, "y")),
-                             _fractal.rotated_projection_length(F, (1, 2)),
-                             _fractal.rotated_projection_length(F, (2, 1))])
-            _write_csv(os.path.join(out_dir, "projections.csv"),
-                       ["depth", "axis_x", "axis_y", "rot_1_2", "rot_2_1"], rows)
-
-        if "tv" in diags:
-            rows = []
-            for d in depths:
-                F = _fractal.build_fractal(d)
-                rows.append([d, float(_fractal.min_total_variation(F))])
-            _write_csv(os.path.join(out_dir, "tv.csv"),
-                       ["depth", "tv_lower_bound"], rows)
-
-        if "probes" in diags:
-            rows = []
-            for d in depths:
-                if d < 1:
-                    continue  # probe radius must exceed the square side
-                F = _fractal.build_fractal(d)
+        # one set per depth serves every diagnostic, so its offsets are
+        # built once; all rows are computed before any CSV is written
+        rows: dict[str, list] = {name: [] for name in _DIAGNOSTICS}
+        for d in range(depth_min, depth_max + 1):
+            F = _fractal.build_fractal(d)
+            if "projections" in diags:
+                rows["projections"].append([
+                    d,
+                    float(_fractal.axis_projection_length(F, "x")),
+                    float(_fractal.axis_projection_length(F, "y")),
+                    _fractal.rotated_projection_length(F, (1, 2)),
+                    _fractal.rotated_projection_length(F, (2, 1))])
+            if "tv" in diags:
+                rows["tv"].append([d, float(_fractal.min_total_variation(F))])
+            if "probes" in diags and d >= 1:  # probe radius must exceed the square side
                 z = _fractal.chain_point(F, _STALL_X)
                 pr = _fractal.subdiff_probe(F, z, _fractal.probe_radius(d),
                                             _PROBE_DIRS)
-                rows.append([d, pr.max_angular_gap, len(pr.directions)])
-            _write_csv(os.path.join(out_dir, "probes.csv"),
-                       ["depth", "max_angular_gap", "n_directions"], rows)
-
-        if "po" in diags:
-            rows = []
-            for d in depths:
-                F = _fractal.build_fractal(d)
+                rows["probes"].append([d, pr.max_angular_gap, len(pr.directions)])
+            if "po" in diags:
                 po = _fractal.g_po_sample(F, _STALL_X, n_dirs=_PROBE_DIRS)
                 cert = _hull.min_norm_point(po.atoms.atoms, tol=1e-12)
                 atoms = po.atoms.atoms.ravel()
-                rows.append([d, cert.norm, float(atoms.min()),
-                             float(atoms.max())])
-            _write_csv(os.path.join(out_dir, "po.csv"),
-                       ["depth", "po_min_norm", "atom_min", "atom_max"], rows)
+                rows["po"].append([d, cert.norm, float(atoms.min()),
+                                   float(atoms.max())])
+            del F  # free this depth's offsets before the next depth builds its own
+
+        for name in _DIAGNOSTICS:
+            if name in diags:
+                _write_csv(os.path.join(out_dir, f"{name}.csv"), _CSV_HEADERS[name],
+                           rows[name])
 
         print(f"fractal diagnostics {sorted(set(diags))} for depths "
               f"{depth_min}..{depth_max} written to {out_dir}")

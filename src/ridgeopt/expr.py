@@ -472,39 +472,46 @@ def parse(text: str, dim_x: int, dim_y: int) -> ExprProgram:
 _LVL_EXPR, _LVL_TERM, _LVL_FACTOR = 0, 1, 2
 
 
-def _fmt(node: Node, level: int) -> str:
+def _layout(node: Node, level: int) -> list:
+    """The text of ``node`` printed at ``level``: strings, and (child, level)
+    pairs that stand for the text of a child."""
     if isinstance(node, Const):
         s = repr(node.value)
-        if node.value < 0 and level > _LVL_FACTOR:
-            return f"({s})"
-        return s
+        return [f"({s})" if node.value < 0 and level > _LVL_FACTOR else s]
     if isinstance(node, Var):
-        return f"{node.block}{node.index}"
+        return [f"{node.block}{node.index}"]
     if isinstance(node, Abs):
-        return f"abs({_fmt(node.a, _LVL_EXPR)})"
-    if isinstance(node, Min):
-        return f"min({_fmt(node.a, _LVL_EXPR)}, {_fmt(node.b, _LVL_EXPR)})"
-    if isinstance(node, Max):
-        return f"max({_fmt(node.a, _LVL_EXPR)}, {_fmt(node.b, _LVL_EXPR)})"
+        return ["abs(", (node.a, _LVL_EXPR), ")"]
+    if isinstance(node, (Min, Max)):
+        name = "min" if isinstance(node, Min) else "max"
+        return [f"{name}(", (node.a, _LVL_EXPR), ", ", (node.b, _LVL_EXPR), ")"]
     if isinstance(node, Pow):
-        return f"pow({_fmt(node.a, _LVL_EXPR)}, {node.n})"
+        return ["pow(", (node.a, _LVL_EXPR), f", {node.n})"]
     if isinstance(node, Neg):
-        s = "-" + _fmt(node.a, _LVL_FACTOR + 1)
-        return s if level <= _LVL_FACTOR else f"({s})"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        s = f"{_fmt(node.a, _LVL_EXPR)} {op} {_fmt(node.b, _LVL_TERM)}"
-        return s if level <= _LVL_EXPR else f"({s})"
-    if isinstance(node, Mul):
-        s = f"{_fmt(node.a, _LVL_TERM)}*{_fmt(node.b, _LVL_FACTOR)}"
-        return s if level <= _LVL_TERM else f"({s})"
-    raise ExprError(f"unknown node type {type(node).__name__}")
+        parts, bound = ["-", (node.a, _LVL_FACTOR + 1)], _LVL_FACTOR
+    elif isinstance(node, (Add, Sub)):
+        op = " + " if isinstance(node, Add) else " - "
+        parts, bound = [(node.a, _LVL_EXPR), op, (node.b, _LVL_TERM)], _LVL_EXPR
+    elif isinstance(node, Mul):
+        parts, bound = [(node.a, _LVL_TERM), "*", (node.b, _LVL_FACTOR)], _LVL_TERM
+    else:
+        raise ExprError(f"unknown node type {type(node).__name__}")
+    return parts if level <= bound else ["(", *parts, ")"]
 
 
 def to_text(node: Node | ExprProgram) -> str:
+    """DSL text of a tree; iterative, so depth is limited only by memory."""
     if isinstance(node, ExprProgram):
         node = node.root
-    return _fmt(node, _LVL_EXPR)
+    out: list[str] = []
+    stack: list = [(node, _LVL_EXPR)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_layout(*item)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

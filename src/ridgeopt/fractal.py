@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,14 @@ class FractalSet:
     def side(self) -> float:
         return 4.0 ** (-self.depth)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Read-only column_offsets(depth), built once per set: the y-corner
+        of the square in each of the 4^depth columns."""
+        b = column_offsets(self.depth)
+        b.flags.writeable = False
+        return b
+
     def squares(self, level: int | None = None) -> np.ndarray:
         """(4^m, 2) integer corners (a, b): square [a, a+1]x[b, b+1] / 4^m."""
         m = self.depth if level is None else level
@@ -75,13 +84,16 @@ def column_offset(depth: int, a: int) -> int:
 
 
 def column_offsets(depth: int) -> np.ndarray:
-    """Vectorized column_offset for all 4^depth columns."""
-    a = np.arange(4 ** depth, dtype=np.int64)
-    b = np.zeros_like(a)
+    """Vectorized column_offset for all 4^depth columns.
+
+    Built level by level: column 4a+j one level down lies in y-quarter
+    SIGMA[j] of column a, so each level is one broadcast over 4x the
+    columns of the last, O(4^depth) work in all.
+    """
     sig = np.array(SIGMA, dtype=np.int64)
-    for lev in range(depth):
-        d = (a >> (2 * (depth - 1 - lev))) & 3
-        b = (b << 2) | sig[d]
+    b = np.zeros(1, dtype=np.int64)
+    for _ in range(depth):
+        b = ((b << 2)[:, None] | sig).ravel()
     return b
 
 
@@ -217,26 +229,27 @@ def g_eval_bounds(F: FractalSet, x, y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _sweep_units(starts: np.ndarray, length: int) -> int:
-    """Total length of the union of integer intervals [s, s+length].
+    """Total length of the union of integer intervals [s, s+length], length >= 1.
 
-    Sorted sweep, vectorized: an interval contributes the part of
-    [s_i, s_i+length] beyond the running coverage maximum.
+    The union is a set of unit cells [k, k+1], and cell k is covered when
+    some start lies in [k-length+1, k]: mark the starts, OR the marks with
+    their length-1 shifts and count, in time linear in the span.
     """
-    s = np.sort(np.asarray(starts, dtype=np.int64))
-    e = s + length
-    cov_prev = np.empty_like(e)
-    cov_prev[0] = s[0]  # nothing covered before the first interval
-    np.maximum.accumulate(e[:-1], out=cov_prev[1:])
-    contrib = e - np.maximum(s, cov_prev)
-    return int(np.clip(contrib, 0, None).sum())
+    s = np.asarray(starts, dtype=np.int64)
+    lo = int(s.min())
+    marks = np.zeros(int(s.max()) - lo + length, dtype=bool)
+    marks[s - lo] = True
+    covered = marks.copy()
+    for shift in range(1, length):
+        covered[shift:] |= marks[:-shift]
+    return int(np.count_nonzero(covered))
 
 
 def axis_projection_length(F: FractalSet, axis: str) -> Fraction:
     """Exact length of the union of axis projections of the depth-i squares."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    sq = F.squares()
-    starts = sq[:, 0] if axis == "x" else sq[:, 1]
+    starts = np.arange(4 ** F.depth, dtype=np.int64) if axis == "x" else F.offsets
     units = _sweep_units(starts, 1)
     return Fraction(units, 4 ** F.depth)
 
@@ -259,8 +272,8 @@ def _direction_key(direction) -> tuple[int, int]:
 def rotated_projection_units(F: FractalSet, direction) -> int:
     """Union length of projections in integer units of 4^-i / sqrt(5)."""
     c1, c2 = _direction_key(direction)
-    sq = F.squares()
-    starts = c1 * sq[:, 0] + c2 * sq[:, 1]
+    starts = np.arange(0, c1 * 4 ** F.depth, c1, dtype=np.int64)
+    starts += c2 * F.offsets
     return _sweep_units(starts, 3)
 
 
@@ -284,8 +297,7 @@ def min_total_variation(F: FractalSet) -> Fraction:
     """
     if F.depth == 0:
         return Fraction(0)
-    b = column_offsets(F.depth)
-    gaps = np.abs(np.diff(b)) - 1
+    gaps = np.abs(np.diff(F.offsets)) - 1
     np.clip(gaps, 0, None, out=gaps)
     return Fraction(int(gaps.sum()), 4 ** F.depth)
 

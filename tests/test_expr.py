@@ -120,6 +120,15 @@ class TestDeep:
         assert [e.v[0] for e in ss] == [-2986.0, -2984.0]
         assert [e.branch_id for e in ss] == ["-", "+"]
 
+    def test_to_text_round_trips(self, deep_sum):
+        text = to_text(deep_sum)
+        assert text.startswith("abs(y0 - 0.0) + abs(y0 - 1.0) + ")
+        assert str(deep_sum) == text
+        again = parse(text, 1, 1)
+        # tapes are flat tuples: comparing them does not recurse like == on the trees
+        assert again.tape == deep_sum.tape
+        assert to_text(again) == text
+
 
 class TestEval:
     def test_convex_hull_at_0_1(self):

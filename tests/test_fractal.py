@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ridgeopt.fractal import (build_fractal, column_offsets, dist_bounds,
+from ridgeopt.fractal import (_sweep_units, build_fractal, column_offset,
+                              column_offsets, dist_bounds,
                               g_eval_bounds, column_chains, chain_point,
                               contains_point, axis_projection_length,
                               rotated_projection_length, min_total_variation,
@@ -52,6 +53,45 @@ class TestBuild:
             pa = a >> 2
             assert pa * 4 <= a < (pa + 1) * 4
             assert bp[pa] * 4 <= b[a] < (bp[pa] + 1) * 4
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_offsets_match_scalar_column_offset(self, depth):
+        expected = [column_offset(depth, a) for a in range(4 ** depth)]
+        assert column_offsets(depth).tolist() == expected
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    def test_set_offsets_cached_and_read_only(self, depth):
+        F = build_fractal(depth)
+        assert F.offsets is F.offsets
+        assert np.array_equal(F.offsets, column_offsets(depth))
+        assert not F.offsets.flags.writeable
+        with pytest.raises(ValueError):
+            F.offsets[0] = 1
+
+
+class TestSweepUnits:
+    @staticmethod
+    def brute_force(starts, length):
+        cells = set()
+        for s in starts:
+            cells.update(range(s, s + length))
+        return len(cells)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_matches_covered_cell_count(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            starts = rng.integers(-15, 15, size=n)
+            if rng.random() < 0.3:
+                starts = np.concatenate([starts, starts[: n // 2 + 1]])
+            assert _sweep_units(starts, length) == \
+                self.brute_force(starts.tolist(), length)
+
+    def test_single_interval_and_duplicates(self):
+        assert _sweep_units(np.array([-7]), 3) == 3
+        assert _sweep_units(np.array([2, 2, 2]), 1) == 1
+        assert _sweep_units(np.array([0, 3, 7]), 3) == 9
 
 
 class TestDistance:
