@@ -62,23 +62,6 @@ class TestRun:
         rep2 = json.load(open(os.path.join(out2, "report.json")))
         assert rep2["iterations"] == 10
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--iters", "5"],
-        ["certify", "--x0", "0"],
-        ["fractal", "--depth-max", "1"],
-    ])
-    def test_config_file_read_once(self, tmp_path, monkeypatch, argv):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"problem": "smooth_saddle", "x0": [4.0],
-                                   "out": str(tmp_path / "out")}))
-        calls = []
-        load = cli._load_config
-        monkeypatch.setattr(cli, "_load_config",
-                            lambda path: calls.append(path) or load(path))
-        assert _run(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
-        assert calls == [str(cfg)]
-        assert os.listdir(tmp_path / "out")
-
     def test_problem_file_path(self, tmp_path):
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps({
@@ -186,6 +169,25 @@ class TestFractal:
     def test_unknown_diag(self, tmp_path):
         assert _run(["fractal", "--diag", "spectra",
                      "--out", str(tmp_path)]) == 2
+
+
+class TestConfig:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--iters", "5"],
+        ["certify", "--x0", "0"],
+        ["fractal", "--depth-max", "1"],
+    ])
+    def test_config_file_read_once(self, tmp_path, monkeypatch, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "smooth_saddle", "x0": [4.0],
+                                   "out": str(tmp_path / "out")}))
+        calls = []
+        load = cli._load_config
+        monkeypatch.setattr(cli, "_load_config",
+                            lambda path: calls.append(path) or load(path))
+        assert _run(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
+        assert calls == [str(cfg)]
+        assert os.listdir(tmp_path / "out")
 
 
 class TestListProblems:
