@@ -209,7 +209,6 @@ def cmd_fractal(args: argparse.Namespace) -> int:
                 atoms = po.atoms.atoms.ravel()
                 rows["po"].append([d, cert.norm, float(atoms.min()),
                                    float(atoms.max())])
-            del F  # free this depth's offsets before the next depth builds its own
 
         for name in _DIAGNOSTICS:
             if name in diags:
