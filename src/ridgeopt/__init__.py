@@ -6,11 +6,11 @@ from .expr import (ExprProgram, ExprError, ExprSyntaxError, GradElement,
 from .hull import (AtomSet, MinNormCertificate, min_norm_point,
                    caratheodory_reduce, hull_contains_zero)
 from .oracles import (YBox, ArgmaxResult, POSample, EmptyPOSample,
-                      argmax_grid_refine, argmax_registry, po_sample)
+                      argmax_grid_refine, po_sample)
 from .problems import ProblemSpec, list_problems, load_problem
 from .ridge import (StepSchedule, OracleSettings, RunConfig, Trajectory,
-                    RunReport, CriticalityCertificate, schedule_alpha,
-                    ridge_step, run, certify_po_critical)
+                    RunReport, CriticalityCertificate, ridge_step, run,
+                    certify_po_critical)
 from .fractal import (FractalSet, build_fractal, dist_bounds, g_eval_bounds,
                       column_chains, chain_point, contains_point,
                       axis_projection_length, rotated_projection_length,

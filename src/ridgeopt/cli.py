@@ -64,27 +64,21 @@ def _out_dir(args: argparse.Namespace, cfg: dict) -> str:
     return args.out or cfg.get("out") or "."
 
 
-_ORACLE_KEYS = ["oracle_mode", "tau_y", "delta_f", "delta_y", "grid_n",
-                "n_starts", "max_branches", "eps_kink"]
+_ORACLE_KEYS = {"oracle_mode": "mode", "tau_y": "tau_y", "delta_f": "delta_f",
+                "delta_y": "delta_y", "grid_n": "grid_n", "n_starts": "n_starts",
+                "max_branches": "max_branches", "eps_kink": "eps_kink"}
 
 
 def _oracle_settings(merged: dict) -> _ridge.OracleSettings:
-    base = _ridge.OracleSettings()
-    return _ridge.OracleSettings(
-        mode=str(merged.get("oracle_mode", base.mode)),
-        grid_n=int(merged.get("grid_n", base.grid_n)),
-        n_starts=int(merged.get("n_starts", base.n_starts)),
-        tau_y=float(merged.get("tau_y", base.tau_y)),
-        delta_f=float(merged.get("delta_f", base.delta_f)),
-        delta_y=float(merged.get("delta_y", base.delta_y)),
-        max_branches=int(merged.get("max_branches", base.max_branches)),
-        eps_kink=float(merged.get("eps_kink", base.eps_kink)),
-    )
+    """Settings from the merged keys, each cast to its field default's type."""
+    return _ridge.OracleSettings(**{
+        name: type(getattr(_ridge.OracleSettings, name))(merged[key])
+        for key, name in _ORACLE_KEYS.items() if key in merged})
 
 
 def _run_config(args: argparse.Namespace, cfg: dict) -> _ridge.RunConfig:
     merged = _merged(args, cfg, ["problem", "x0", "alpha0", "gamma", "iters",
-                            "atom_rule", "seed", "tol"] + _ORACLE_KEYS)
+                            "atom_rule", "seed", "tol", *_ORACLE_KEYS])
     if "problem" not in merged:
         raise ValueError("a problem id or file is required (--problem)")
     if "x0" not in merged:
@@ -133,7 +127,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
         cfg = _load_config(args.config)
-        merged = _merged(args, cfg, ["problem", "x0", "tol"] + _ORACLE_KEYS)
+        merged = _merged(args, cfg, ["problem", "x0", "tol", *_ORACLE_KEYS])
         if "problem" not in merged or "x0" not in merged:
             raise ValueError("certify needs --problem and --x0")
         x0 = merged["x0"]

@@ -249,12 +249,12 @@ def axis_projection_length(F: FractalSet, axis: str) -> Fraction:
     """Exact length of the union of axis projections of the depth-i squares."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    starts = np.arange(4 ** F.depth, dtype=np.int64) if axis == "x" else F.offsets
-    units = _sweep_units(starts, 1)
-    return Fraction(units, 4 ** F.depth)
+    if axis == "x":
+        return Fraction(1)  # one square per column: the x-projections tile [0, 1]
+    return Fraction(_sweep_units(F.offsets, 1), 4 ** F.depth)
 
 
-_DIRECTIONS = {(1, 2): (1, 2), (2, 1): (2, 1)}
+_DIRECTIONS = ((1, 2), (2, 1))
 
 
 def _direction_key(direction) -> tuple[int, int]:
@@ -385,26 +385,14 @@ def g_po_sample(F: FractalSet, x, tau: float = 1e-9, n_dirs: int = 64,
     zy = float((ch.y_lo + ch.y_hi) / 2)
     z = np.array([float(Fraction(x)), zy])
 
-    atoms = [np.array([1.0])]
-    prov = [_oracles.POAtomProvenance(y=np.array([zy]), residual=0.0)]
+    y = np.array([zy])
+    found = [(np.array([1.0]), y, 0.0)]
     if F.depth >= 1:
         pr = subdiff_probe(F, z, probe_radius(F.depth) if rho is None else rho,
                            n_dirs)
-        for d in pr.directions:
-            atoms.append(np.array([2.0 * float(d[0]) + 1.0]))
-            prov.append(_oracles.POAtomProvenance(y=np.array([zy]),
-                                                  residual=0.0))
-
-    order = sorted(range(len(atoms)), key=lambda i: float(atoms[i][0]))
-    out_atoms: list[np.ndarray] = []
-    out_prov: list[_oracles.POAtomProvenance] = []
-    for i in order:
-        if out_atoms and np.array_equal(out_atoms[-1], atoms[i]):
-            continue
-        out_atoms.append(atoms[i])
-        out_prov.append(prov[i])
-    return _oracles.POSample(atoms=_hull.AtomSet(np.stack(out_atoms)),
-                             provenance=out_prov, incomplete=False)
+        found += [(np.array([2.0 * float(d[0]) + 1.0]), y, 0.0)
+                  for d in pr.directions]
+    return _oracles.POSample.build(found)
 
 
 def g_po_min_norm(F: FractalSet, x, tau: float = 1e-9, n_dirs: int = 64,

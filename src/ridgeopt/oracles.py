@@ -4,8 +4,8 @@
 over a box followed by coordinate-wise golden-section ascent (derivative
 free, so kinks do not break it) and candidate snapping onto round numbers,
 which lets maximizers land exactly on representable kink locations.
-``argmax_registry`` returns the closed-form maximizer set of a registered
-benchmark problem.  ``po_sample`` turns maximizers into descent-atom
+Closed-form maximizers live on each problem's ``ProblemSpec``; ``ridge``
+picks one or the other.  ``po_sample`` turns maximizers into descent-atom
 candidates u with (u, 0) in the subdifferential of F: pure branches whose
 y-block already vanishes are admitted directly, and a min-norm combination
 over branch y-blocks recovers atoms that only a convex combination of
@@ -23,6 +23,8 @@ from . import expr as _expr
 from . import hull as _hull
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# decimals for _snap (ascending) and ridge._certify_candidates (descending)
+_ROUND_DIGITS = (0, 1, 2, 3, 4, 6, 8, 10, 12)
 
 
 class EmptyPOSample(RuntimeError):
@@ -55,6 +57,11 @@ class YBox:
     @property
     def r(self) -> int:
         return self.lower.shape[0]
+
+    def touches(self, y: np.ndarray, delta: float) -> bool:
+        """Whether y lies within delta of a face of the box."""
+        return bool(np.any(y - self.lower <= delta)
+                    or np.any(self.upper - y <= delta))
 
 
 @dataclass
@@ -93,6 +100,22 @@ class POSample:
     provenance: list[POAtomProvenance]
     incomplete: bool = False
 
+    @classmethod
+    def build(cls, found, incomplete: bool = False) -> "POSample":
+        """Sample from (u, y, residual) triples: atoms sorted, exact
+        duplicates merged, each keeping its lowest-residual provenance."""
+        atoms: list[np.ndarray] = []
+        prov: list[POAtomProvenance] = []
+        for u, y, res in sorted(found, key=lambda t: tuple(t[0])):
+            if atoms and np.array_equal(atoms[-1], u):
+                if res < prov[-1].residual:
+                    prov[-1] = POAtomProvenance(y=y, residual=res)
+                continue
+            atoms.append(u)
+            prov.append(POAtomProvenance(y=y, residual=res))
+        return cls(atoms=_hull.AtomSet(np.stack(atoms)), provenance=prov,
+                   incomplete=incomplete)
+
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximization of f on [lo, hi]; returns (arg, value)."""
@@ -126,7 +149,7 @@ def _snap(prog: _expr.ExprProgram, x: np.ndarray, y: np.ndarray, fy: float,
     point, whose gradient residual is already tiny.
     """
     slack = 8.0 * np.finfo(float).eps * max(1.0, abs(fy))
-    for digits in (0, 1, 2, 3, 4, 6, 8, 10, 12):
+    for digits in _ROUND_DIGITS:
         cand = np.round(y, digits)
         if np.any(cand < box.lower) or np.any(cand > box.upper):
             continue
@@ -212,23 +235,9 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
         kept.append(y)
     kept.sort(key=lambda z: tuple(z))
 
-    boundary = any(
-        np.any(z - box.lower <= delta_box) or np.any(box.upper - z <= delta_box)
-        for z in kept)
+    boundary = any(box.touches(z, delta_box) for z in kept)
     return ArgmaxResult(maximizers=kept, value=best_val, boundary_flag=boundary,
                         multiplicity_tol=delta_f)
-
-
-def argmax_registry(problem_id: str, x, box: YBox | None = None,
-                    delta_box: float = 1e-9) -> ArgmaxResult:
-    """Exact maximizer set of a registered problem's closed form."""
-    from . import problems as _problems  # local import; problems imports us
-
-    spec = _problems.load_problem(problem_id)
-    if spec.closed_form_argmax is None:
-        raise KeyError(f"problem {problem_id!r} has no closed-form argmax")
-    return spec.closed_form_argmax(np.atleast_1d(np.asarray(x, dtype=float)),
-                                   box or spec.box, delta_box)
 
 
 def _segment_interior(ys: list[np.ndarray]) -> list[np.ndarray]:
@@ -285,15 +294,4 @@ def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
             f"no PO atom within tau_y={tau_y} at x={x.tolist()}; "
             "an exact atom exists, so check oracle resolution and tolerances")
 
-    found.sort(key=lambda t: tuple(t[0]))
-    atoms: list[np.ndarray] = []
-    prov: list[POAtomProvenance] = []
-    for u, y, res in found:
-        if atoms and np.array_equal(atoms[-1], u):
-            if res < prov[-1].residual:
-                prov[-1] = POAtomProvenance(y=y, residual=res)
-            continue
-        atoms.append(u)
-        prov.append(POAtomProvenance(y=y, residual=res))
-    return POSample(atoms=_hull.AtomSet(np.stack(atoms)), provenance=prov,
-                    incomplete=incomplete)
+    return POSample.build(found, incomplete)

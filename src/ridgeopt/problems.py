@@ -42,20 +42,14 @@ class ProblemSpec:
     box: _oracles.YBox
     closed_form_argmax: Optional[Callable] = None
     known_value: Optional[Callable[[float], float]] = None
-    known_value_text: Optional[str] = None
     known_critical_points: Optional[list[float]] = None
     validation_range: tuple[float, float] = (-2.0, 2.0)
     notes: str = ""
 
 
-def _boundary(y: np.ndarray, box: _oracles.YBox, delta_box: float) -> bool:
-    return bool(np.any(y - box.lower <= delta_box)
-                or np.any(box.upper - y <= delta_box))
-
-
 def _am(maximizers, value, box, delta_box, segment=False):
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in maximizers]
-    flag = any(_boundary(y, box, delta_box) for y in ys)
+    flag = any(box.touches(y, delta_box) for y in ys)
     return _oracles.ArgmaxResult(maximizers=ys, value=float(value),
                                  boundary_flag=flag, multiplicity_tol=1e-8,
                                  segment=segment)
@@ -118,7 +112,6 @@ _register(ProblemSpec(
     box=_oracles.YBox(np.array([-10.0]), np.array([10.0])),
     closed_form_argmax=_smooth_saddle_argmax,
     known_value=lambda x: 0.5 * x * x,
-    known_value_text="x^2/2",
     known_critical_points=[0.0],
     validation_range=(-5.0, 5.0),
     notes="smooth strongly concave baseline; unique maximizer y = x",
@@ -130,7 +123,6 @@ _register(ProblemSpec(
     box=_oracles.YBox(np.array([-2.0]), np.array([2.0])),
     closed_form_argmax=_convex_hull_argmax,
     known_value=lambda x: min(abs(x), 1.0),
-    known_value_text="min(|x|, 1)",
     known_critical_points=[0.0],
     validation_range=(-2.0, 2.0),
     notes="two maximizers at x=0 give atoms {+1,-1}; certifying 0 needs the hull",
@@ -142,7 +134,6 @@ _register(ProblemSpec(
     box=_oracles.YBox(np.array([-5.0]), np.array([5.0])),
     closed_form_argmax=_envelope_argmax,
     known_value=lambda x: 0.0,
-    known_value_text="0",
     known_critical_points=None,  # every point is PO-critical
     validation_range=(-3.0, 3.0),
     notes="f == 0; PO atom {0} is strictly finer than the x-partial interval [-1,1]",
@@ -154,7 +145,6 @@ _register(ProblemSpec(
     box=_oracles.YBox(np.array([0.0]), np.array([3.0])),
     closed_form_argmax=_po_failure_argmax,
     known_value=lambda x: 0.0,
-    known_value_text="0",
     known_critical_points=None,
     validation_range=(-2.0, 2.0),
     notes="at x=0 the PO hull inflates to [-3,3] though f' = 0; maximizer set "
@@ -230,7 +220,6 @@ def _load_file(path: str) -> ProblemSpec:
     rng = data.get("validation_range")
     return ProblemSpec(
         id=str(data["id"]), prog=prog, box=box, known_value=known,
-        known_value_text=known_text,
         validation_range=tuple(rng) if rng else (-2.0, 2.0),
         notes=str(data.get("notes", f"loaded from {os.path.basename(path)}")),
     )

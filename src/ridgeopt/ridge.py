@@ -33,11 +33,8 @@ class StepSchedule:
 
     alpha0: float
     gamma: float
-    kind: str = "power"
 
     def __post_init__(self):
-        if self.kind != "power":
-            raise ValueError("only the power schedule is supported")
         if not self.alpha0 > 0:
             raise ValueError("alpha0 must be > 0")
         if not 0 < self.gamma <= 1:
@@ -47,10 +44,6 @@ class StepSchedule:
         if k < 0:
             raise ValueError("k must be >= 0")
         return self.alpha0 * (k + 1) ** (-self.gamma)
-
-
-def schedule_alpha(schedule: StepSchedule, k: int) -> float:
-    return schedule.alpha(k)
 
 
 @dataclass
@@ -203,15 +196,12 @@ def _resolve_problem(problem) -> _problems.ProblemSpec:
 
 
 def _argmax(spec: _problems.ProblemSpec, x, settings: OracleSettings) -> _oracles.ArgmaxResult:
-    use_registry = (settings.mode == "registry"
-                    or (settings.mode == "auto" and spec.closed_form_argmax is not None))
     if settings.mode not in ("auto", "registry", "grid"):
         raise ValueError("oracle mode must be auto, registry or grid")
-    if use_registry:
-        if spec.closed_form_argmax is None:
-            raise KeyError(f"problem {spec.id!r} has no closed-form argmax")
-        return spec.closed_form_argmax(np.atleast_1d(np.asarray(x, dtype=float)),
-                                       spec.box, settings.delta_box)
+    if settings.mode == "registry" and spec.closed_form_argmax is None:
+        raise KeyError(f"problem {spec.id!r} has no closed-form argmax")
+    if settings.mode != "grid" and spec.closed_form_argmax is not None:
+        return spec.closed_form_argmax(x, spec.box, settings.delta_box)
     return _oracles.argmax_grid_refine(
         spec.prog, x, spec.box, grid_n=settings.grid_n,
         n_starts=settings.n_starts, tol_y=settings.ascent_tol,
@@ -255,7 +245,7 @@ def ridge_step(x_k, problem, settings: OracleSettings, schedule: StepSchedule,
 def _certify_candidates(x_final: np.ndarray) -> list[np.ndarray]:
     """x_final plus progressively rounded copies, nearest first."""
     cands = [x_final.copy()]
-    for digits in (12, 10, 8, 6, 4, 3, 2, 1, 0):
+    for digits in reversed(_oracles._ROUND_DIGITS):
         c = np.round(x_final, digits)
         if not any(np.array_equal(c, z) for z in cands):
             cands.append(c)

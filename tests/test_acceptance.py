@@ -90,7 +90,7 @@ def test_criterion_2_envelope_gap():
         spec = problems.load_problem("envelope_gap")
         rng = np.random.Generator(np.random.Philox(2024))
         for xv in rng.uniform(-3.0, 3.0, 50):
-            am = oracles.argmax_registry("envelope_gap", [xv])
+            am = spec.closed_form_argmax(np.atleast_1d(xv), spec.box, 1e-9)
             po = oracles.po_sample(spec.prog, [xv], am)
             g.check(po.atoms.n == 1 and abs(po.atoms.atoms[0, 0]) <= 1e-7,
                     f"atoms at x={xv} not exactly {{0}}")
@@ -105,7 +105,7 @@ def test_criterion_3_po_failure():
         spec = problems.load_problem("po_failure")
         g.check(float(spec.box.lower[0]) == 0.0
                 and float(spec.box.upper[0]) == 3.0, "box is not [0, 3]")
-        am = oracles.argmax_registry("po_failure", [0.0])
+        am = spec.closed_form_argmax(np.atleast_1d(0.0), spec.box, 1e-9)
         po = oracles.po_sample(spec.prog, [0.0], am)
         ok, cert = hull.hull_contains_zero(po.atoms.atoms, 1e-7)
         g.check(ok and cert.norm <= 1e-7, f"PO hull min-norm {cert.norm}")

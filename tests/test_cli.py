@@ -189,6 +189,34 @@ class TestConfig:
         assert calls == [str(cfg)]
         assert os.listdir(tmp_path / "out")
 
+    @pytest.mark.parametrize("key, field, value, expected", [
+        ("oracle_mode", "mode", "grid", "grid"),
+        ("tau_y", "tau_y", 1, 1.0),
+        ("delta_f", "delta_f", 2, 2.0),
+        ("delta_y", "delta_y", 3, 3.0),
+        ("grid_n", "grid_n", 32.0, 32),
+        ("n_starts", "n_starts", 4.0, 4),
+        ("max_branches", "max_branches", 16.0, 16),
+        ("eps_kink", "eps_kink", 1, 1.0),
+    ])
+    def test_oracle_key_reaches_settings(self, tmp_path, monkeypatch, key,
+                                         field, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "smooth_saddle", "x0": [4.0],
+                                   key: value, "ascent_tol": 0.5}))
+        seen = []
+
+        def fake_run(config):
+            seen.append(config.oracle)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli._ridge, "run", fake_run)
+        assert _run(["run", "--config", str(cfg)]) == 2
+        got = getattr(seen[0], field)
+        assert got == expected and type(got) is type(expected)
+        # only the eight documented keys are read from a config
+        assert seen[0].ascent_tol == cli._ridge.OracleSettings().ascent_tol
+
 
 class TestListProblems:
     def test_lists_ids(self, capsys):

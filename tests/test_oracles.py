@@ -1,13 +1,21 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from ridgeopt import expr, hull, problems
-from ridgeopt.oracles import (YBox, ArgmaxResult, EmptyPOSample,
-                              argmax_grid_refine, argmax_registry, po_sample)
+from ridgeopt import expr, hull, oracles, problems
+from ridgeopt.oracles import (YBox, ArgmaxResult, EmptyPOSample, POSample,
+                              argmax_grid_refine, po_sample)
 
 
 def _box(lo, hi):
     return YBox(np.array([lo]), np.array([hi]))
+
+
+def _closed_form(pid, x, box=None):
+    spec = problems.load_problem(pid)
+    return spec.closed_form_argmax(np.atleast_1d(x), box or spec.box, 1e-9)
 
 
 class TestYBox:
@@ -70,30 +78,30 @@ class TestGridRefine:
 
 class TestRegistry:
     def test_smooth_saddle(self):
-        am = argmax_registry("smooth_saddle", [3.0])
+        am = _closed_form("smooth_saddle", [3.0])
         assert [y[0] for y in am.maximizers] == [3.0]
         assert am.value == 4.5
 
     def test_po_failure_segment_with_box_override(self):
-        am = argmax_registry("po_failure", [0.0], box=_box(-3.0, 3.0))
+        am = _closed_form("po_failure", [0.0], box=_box(-3.0, 3.0))
         assert [y[0] for y in am.maximizers] == [0.0, 3.0]
         assert am.segment and am.boundary_flag
         assert am.value == 0.0
 
     def test_envelope(self):
-        am = argmax_registry("envelope_gap", [-1.0])
+        am = _closed_form("envelope_gap", [-1.0])
         assert [y[0] for y in am.maximizers] == [-1.0]
         assert am.value == 0.0
 
     def test_unknown_problem(self):
         with pytest.raises(KeyError):
-            argmax_registry("nope", [0.0])
+            problems.load_problem("nope")
 
 
 class TestPoSample:
     def test_convex_hull_pair(self):
         spec = problems.load_problem("convex_hull_necessary")
-        am = argmax_registry("convex_hull_necessary", [0.0])
+        am = _closed_form("convex_hull_necessary", [0.0])
         po = po_sample(spec.prog, [0.0], am)
         atoms = po.atoms.atoms.ravel()
         assert np.allclose(np.sort(atoms), [-1.0, 1.0], atol=1e-12)
@@ -104,26 +112,26 @@ class TestPoSample:
     def test_envelope_combination_atom(self):
         spec = problems.load_problem("envelope_gap")
         for xv in (0.0, 1.25, -2.5):
-            am = argmax_registry("envelope_gap", [xv])
+            am = _closed_form("envelope_gap", [xv])
             po = po_sample(spec.prog, [xv], am)
             assert po.atoms.n == 1
             assert abs(po.atoms.atoms[0, 0]) <= 1e-7
 
     def test_smooth_saddle_gradient(self):
         spec = problems.load_problem("smooth_saddle")
-        am = argmax_registry("smooth_saddle", [3.0])
+        am = _closed_form("smooth_saddle", [3.0])
         po = po_sample(spec.prog, [3.0], am)
         assert np.allclose(po.atoms.atoms, [[3.0]])
 
     def test_residuals_within_tau(self):
         spec = problems.load_problem("po_failure")
-        am = argmax_registry("po_failure", [0.0])
+        am = _closed_form("po_failure", [0.0])
         po = po_sample(spec.prog, [0.0], am, tau_y=1e-7)
         assert all(p.residual <= 1e-7 for p in po.provenance)
 
     def test_invariant_under_maximizer_order(self):
         spec = problems.load_problem("convex_hull_necessary")
-        am = argmax_registry("convex_hull_necessary", [0.0])
+        am = _closed_form("convex_hull_necessary", [0.0])
         rev = ArgmaxResult(maximizers=list(reversed(am.maximizers)),
                            value=am.value, boundary_flag=am.boundary_flag,
                            multiplicity_tol=am.multiplicity_tol,
@@ -157,7 +165,37 @@ class TestPoSample:
         spec = problems.load_problem("smooth_saddle")
         rng = np.random.Generator(np.random.Philox(29))
         for xv in rng.uniform(-5, 5, 50):
-            am = argmax_registry("smooth_saddle", [xv])
+            am = _closed_form("smooth_saddle", [xv])
             po = po_sample(spec.prog, [xv], am)
             assert po.atoms.n == 1
             assert po.atoms.atoms[0, 0] == pytest.approx(xv, abs=1e-9)
+
+
+class TestPOSampleBuild:
+    def test_ties_merge_and_keep_lowest_residual(self):
+        ya, yb, yc = np.array([-1.0]), np.array([0.5]), np.array([2.0])
+        found = [(np.array([1.0]), ya, 3e-8),
+                 (np.array([-0.0]), ya, 2e-8),
+                 (np.array([1.0]), yb, 1e-9),
+                 (np.array([0.0]), yc, 5e-9),
+                 (np.array([1.0]), yc, 4e-8)]
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3, 0, 4, 2, 1]):
+            po = POSample.build([found[i] for i in order], incomplete=True)
+            assert np.array_equal(po.atoms.atoms, [[0.0], [1.0]])
+            assert [(p.y[0], p.residual) for p in po.provenance] == [
+                (2.0, 5e-9), (0.5, 1e-9)]
+            assert po.incomplete
+
+
+def test_oracles_import_neither_problems_nor_ridge():
+    # function-local imports included: problems and ridge build on oracles
+    tree = ast.parse(inspect.getsource(oracles))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+    parts = {p for name in names for p in name.split(".")}
+    assert not parts & {"problems", "ridge"}

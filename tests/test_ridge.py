@@ -3,19 +3,18 @@ import pytest
 
 from ridgeopt import oracles
 from ridgeopt.ridge import (StepSchedule, OracleSettings, RunConfig,
-                            schedule_alpha, ridge_step, run,
-                            certify_po_critical)
+                            ridge_step, run, certify_po_critical)
 
 
 class TestSchedule:
     def test_values(self):
         s = StepSchedule(1.0, 1.0)
-        assert schedule_alpha(s, 0) == 1.0
-        assert schedule_alpha(s, 9) == pytest.approx(0.1)
+        assert s.alpha(0) == 1.0
+        assert s.alpha(9) == pytest.approx(0.1)
 
     def test_nonsummable_probe(self):
         s = StepSchedule(1.0, 0.7)
-        total = sum(schedule_alpha(s, k) for k in range(10_000))
+        total = sum(s.alpha(k) for k in range(10_000))
         assert total > 10.0
 
     def test_validation(self):
