@@ -4,7 +4,7 @@ from .expr import (ExprProgram, ExprError, ExprSyntaxError, GradElement,
                    SubdiffSample, parse, eval, grad_select, subdiff_sample,
                    fd_check, to_text)
 from .hull import (AtomSet, MinNormCertificate, min_norm_point,
-                   caratheodory_reduce, hull_contains_zero)
+                   caratheodory_reduce)
 from .oracles import (YBox, ArgmaxResult, POSample, EmptyPOSample,
                       argmax_grid_refine, po_sample)
 from .problems import ProblemSpec, list_problems, load_problem

@@ -178,8 +178,8 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         out_dir = _out_dir(args, cfg)
         os.makedirs(out_dir, exist_ok=True)
 
-        # one set per depth serves every diagnostic, so its offsets are
-        # built once; all rows are computed before any CSV is written
+        # one set per depth serves every diagnostic; all rows are computed
+        # before any CSV is written
         rows: dict[str, list] = {name: [] for name in _DIAGNOSTICS}
         for d in range(depth_min, depth_max + 1):
             F = _fractal.build_fractal(d)

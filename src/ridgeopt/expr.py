@@ -39,9 +39,10 @@ class ExprSyntaxError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  Frozen dataclasses give structural equality/hashing, which the
-# kink machinery relies on: two structurally identical abs subtrees describe
-# the same kink surface and must receive the same sign in a selection.
+# AST nodes.  Frozen dataclasses give structural equality/hashing.  The kink
+# machinery does not use it: the tapes key nodes on id(), and the lowered
+# tape's ``eq`` tape decides which abs subtrees are structurally equal, so
+# that they describe the same kink surface and share one switch.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

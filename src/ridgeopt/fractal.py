@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -50,14 +49,6 @@ class FractalSet:
     @property
     def side(self) -> float:
         return 4.0 ** (-self.depth)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Read-only column_offsets(depth), built once per set: the y-corner
-        of the square in each of the 4^depth columns."""
-        b = column_offsets(self.depth)
-        b.flags.writeable = False
-        return b
 
     def squares(self, level: int | None = None) -> np.ndarray:
         """(4^m, 2) integer corners (a, b): square [a, a+1]x[b, b+1] / 4^m."""
@@ -228,20 +219,24 @@ def g_eval_bounds(F: FractalSet, x, y) -> tuple[float, float]:
 # Projection sweeps and the variation bound
 # ---------------------------------------------------------------------------
 
-def _sweep_units(starts: np.ndarray, length: int) -> int:
-    """Total length of the union of integer intervals [s, s+length], length >= 1.
+def _projection_units(depth: int, c1: int, c2: int, length: int) -> int:
+    """Unit cells covered by the projections of C_depth's squares onto (c1, c2).
 
-    The union is a set of unit cells [k, k+1], and cell k is covered when
-    some start lies in [k-length+1, k]: mark the starts, OR the marks with
-    their length-1 shifts and count, in time linear in the span.
+    Square [a, a+1]x[b, b+1] (units of 4^-depth) covers the unit cells
+    c1*a + c2*b + k, k < length.  C_{m+1} is four copies of C_m, the copy
+    in column quarter j shifted by 4^m*(c1*j + c2*SIGMA[j]) cells of
+    4^-(m+1), so the covered-cell bitmap of level m+1 is the OR of four
+    shifted copies of that of level m, starting from the `length` cells of
+    the unit square.
     """
-    s = np.asarray(starts, dtype=np.int64)
-    lo = int(s.min())
-    marks = np.zeros(int(s.max()) - lo + length, dtype=bool)
-    marks[s - lo] = True
-    covered = marks.copy()
-    for shift in range(1, length):
-        covered[shift:] |= marks[:-shift]
+    covered = np.ones(length, dtype=bool)
+    for m in range(depth):
+        shifts = [4 ** m * (c1 * j + c2 * s) for j, s in enumerate(SIGMA)]
+        lo = min(shifts)
+        grown = np.zeros(max(shifts) - lo + covered.size, dtype=bool)
+        for shift in shifts:
+            grown[shift - lo:shift - lo + covered.size] |= covered
+        covered = grown
     return int(np.count_nonzero(covered))
 
 
@@ -251,7 +246,7 @@ def axis_projection_length(F: FractalSet, axis: str) -> Fraction:
         raise ValueError("axis must be 'x' or 'y'")
     if axis == "x":
         return Fraction(1)  # one square per column: the x-projections tile [0, 1]
-    return Fraction(_sweep_units(F.offsets, 1), 4 ** F.depth)
+    return Fraction(_projection_units(F.depth, 0, 1, 1), 4 ** F.depth)
 
 
 _DIRECTIONS = ((1, 2), (2, 1))
@@ -272,9 +267,7 @@ def _direction_key(direction) -> tuple[int, int]:
 def rotated_projection_units(F: FractalSet, direction) -> int:
     """Union length of projections in integer units of 4^-i / sqrt(5)."""
     c1, c2 = _direction_key(direction)
-    starts = np.arange(0, c1 * 4 ** F.depth, c1, dtype=np.int64)
-    starts += c2 * F.offsets
-    return _sweep_units(starts, 3)
+    return _projection_units(F.depth, c1, c2, 3)
 
 
 def rotated_projection_length(F: FractalSet, direction) -> float:
@@ -282,7 +275,7 @@ def rotated_projection_length(F: FractalSet, direction) -> float:
 
     A square [a, a+1]x[b, b+1] (units of 4^-i) projects onto direction
     (c1, c2)/sqrt(5) as the interval [c1*a + c2*b, c1*a + c2*b + 3] in units
-    of 4^-i/sqrt(5); the sweep is exact in integers.
+    of 4^-i/sqrt(5); the covered cells are counted exactly in integers.
     """
     units = rotated_projection_units(F, direction)
     return units * 4.0 ** (-F.depth) / math.sqrt(5.0)
@@ -293,13 +286,20 @@ def min_total_variation(F: FractalSet) -> Fraction:
 
     The x-projections tile [0, 1], so the column order is forced; crossing
     from column a to a+1 costs at least the gap between their y-intervals.
-    The sum of gaps is exact in units of 4^-i.
+    The sum of gaps is exact in units of 4^-i.  The column offsets of
+    C_{m+1} are those of C_m repeated in four quarters, quarter j raised
+    by 4^m*SIGMA[j]: each level keeps four copies of the last level's gaps
+    and adds the three between the last offset of one quarter and the first
+    of the next, so only the first and last offsets are carried.
     """
-    if F.depth == 0:
-        return Fraction(0)
-    gaps = np.abs(np.diff(F.offsets)) - 1
-    np.clip(gaps, 0, None, out=gaps)
-    return Fraction(int(gaps.sum()), 4 ** F.depth)
+    tv = first = last = 0
+    for m in range(F.depth):
+        step = 4 ** m
+        tv = 4 * tv + sum(max(abs(step * (s1 - s0) + first - last) - 1, 0)
+                          for s0, s1 in zip(SIGMA, SIGMA[1:]))
+        first += step * SIGMA[0]
+        last += step * SIGMA[-1]
+    return Fraction(tv, 4 ** F.depth)
 
 
 # ---------------------------------------------------------------------------

@@ -220,11 +220,3 @@ def caratheodory_reduce(cert: MinNormCertificate, p: int | None = None) -> MinNo
     return MinNormCertificate(atoms=atoms, weights=w, point=point,
                               norm=float(np.linalg.norm(point)), gap=gap,
                               converged=cert.converged)
-
-
-def hull_contains_zero(atoms, tol: float = 1e-9) -> tuple[bool, MinNormCertificate]:
-    """True iff the min-norm point of conv(atoms) has norm <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    cert = min_norm_point(atoms, tol=tol)
-    return cert.norm <= tol, cert

@@ -77,7 +77,6 @@ class ArgmaxResult:
     maximizers: list[np.ndarray]
     value: float
     boundary_flag: bool
-    multiplicity_tol: float
     segment: bool = False
 
 
@@ -236,8 +235,7 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
     kept.sort(key=lambda z: tuple(z))
 
     boundary = any(box.touches(z, delta_box) for z in kept)
-    return ArgmaxResult(maximizers=kept, value=best_val, boundary_flag=boundary,
-                        multiplicity_tol=delta_f)
+    return ArgmaxResult(maximizers=kept, value=best_val, boundary_flag=boundary)
 
 
 def _segment_interior(ys: list[np.ndarray]) -> list[np.ndarray]:

@@ -51,8 +51,7 @@ def _am(maximizers, value, box, delta_box, segment=False):
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in maximizers]
     flag = any(box.touches(y, delta_box) for y in ys)
     return _oracles.ArgmaxResult(maximizers=ys, value=float(value),
-                                 boundary_flag=flag, multiplicity_tol=1e-8,
-                                 segment=segment)
+                                 boundary_flag=flag, segment=segment)
 
 
 def _smooth_saddle_argmax(x, box, delta_box):

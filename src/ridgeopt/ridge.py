@@ -359,7 +359,8 @@ def certify_po_critical(problem, x_bar, settings: OracleSettings | None = None,
     po = _oracles.po_sample(spec.prog, x_bar, am, tau_y=settings.tau_y,
                             max_branches=settings.max_branches,
                             eps_kink=settings.eps_kink)
-    contains, cert = _hull.hull_contains_zero(po.atoms.atoms, tol)
+    cert = _hull.min_norm_point(po.atoms.atoms, tol)
+    contains = cert.norm <= tol
     reduced = _hull.caratheodory_reduce(cert)
     witness = []
     for i, w in enumerate(reduced.weights):

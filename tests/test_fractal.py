@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ridgeopt.fractal import (_sweep_units, build_fractal, column_offset,
+from ridgeopt import cli, fractal
+from ridgeopt.fractal import (_projection_units, build_fractal, column_offset,
                               column_offsets, dist_bounds,
                               g_eval_bounds, column_chains, chain_point,
                               contains_point, axis_projection_length,
@@ -59,39 +60,32 @@ class TestBuild:
         expected = [column_offset(depth, a) for a in range(4 ** depth)]
         assert column_offsets(depth).tolist() == expected
 
-    @pytest.mark.parametrize("depth", [0, 1, 5])
-    def test_set_offsets_cached_and_read_only(self, depth):
-        F = build_fractal(depth)
-        assert F.offsets is F.offsets
-        assert np.array_equal(F.offsets, column_offsets(depth))
-        assert not F.offsets.flags.writeable
-        with pytest.raises(ValueError):
-            F.offsets[0] = 1
 
+class TestSelfSimilarRecursions:
+    """The level recursions against brute force over the depth-i squares."""
 
-class TestSweepUnits:
-    @staticmethod
-    def brute_force(starts, length):
-        cells = set()
-        for s in starts:
-            cells.update(range(s, s + length))
-        return len(cells)
+    @pytest.mark.parametrize("c1, c2, length", [(0, 1, 1), (1, 2, 3), (2, 1, 3)])
+    @pytest.mark.parametrize("depth", range(8))
+    def test_projection_units_count_covered_cells(self, depth, c1, c2, length):
+        sq = build_fractal(depth).squares()
+        starts = c1 * sq[:, 0] + c2 * sq[:, 1]
+        cells = np.unique(starts[:, None] + np.arange(length))
+        assert _projection_units(depth, c1, c2, length) == cells.size
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 4])
-    def test_matches_covered_cell_count(self, length):
-        rng = np.random.default_rng(length)
-        for _ in range(200):
-            n = int(rng.integers(1, 12))
-            starts = rng.integers(-15, 15, size=n)
-            if rng.random() < 0.3:
-                starts = np.concatenate([starts, starts[: n // 2 + 1]])
-            assert _sweep_units(starts, length) == \
-                self.brute_force(starts.tolist(), length)
+    @pytest.mark.parametrize("depth", range(8))
+    def test_total_variation_sums_clipped_gaps(self, depth):
+        gaps = np.clip(np.abs(np.diff(column_offsets(depth))) - 1, 0, None)
+        assert min_total_variation(build_fractal(depth)) == \
+            Fraction(int(gaps.sum()), 4 ** depth)
 
-    def test_single_interval_and_duplicates(self):
-        assert _sweep_units(np.array([-7]), 3) == 3
-        assert _sweep_units(np.array([2, 2, 2]), 1) == 1
-        assert _sweep_units(np.array([0, 3, 7]), 3) == 9
+    def test_cli_builds_no_offsets_array(self, tmp_path, monkeypatch):
+        def refuse(depth):
+            raise AssertionError("column_offsets called")
+
+        monkeypatch.setattr(fractal, "column_offsets", refuse)
+        assert cli.main(["fractal", "--depth-min", "0", "--depth-max", "12",
+                         "--diag", "projections", "--diag", "tv",
+                         "--out", str(tmp_path)]) == 0
 
 
 class TestDistance:

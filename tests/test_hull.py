@@ -3,7 +3,7 @@ import pytest
 
 from conftest import brute_force_min_norm
 from ridgeopt.hull import (AtomSet, MinNormCertificate, min_norm_point,
-                           caratheodory_reduce, hull_contains_zero)
+                           caratheodory_reduce)
 
 
 class TestAtomSet:
@@ -72,8 +72,8 @@ class TestMinNormPoint:
             cert = min_norm_point(P, tol=1e-9)
             cert_s = min_norm_point(c * P, tol=1e-9)
             assert np.allclose(cert_s.point, c * cert.point, atol=1e-9)
-            ok, _ = hull_contains_zero(P, tol=1e-9)
-            ok_s, _ = hull_contains_zero(c * P, tol=c * 1e-9)
+            ok = min_norm_point(P, tol=1e-9).norm <= 1e-9
+            ok_s = min_norm_point(c * P, tol=c * 1e-9).norm <= c * 1e-9
             assert ok == ok_s
 
     def test_iteration_cap_flagged(self):
@@ -129,16 +129,16 @@ class TestCaratheodory:
 
 class TestHullContainsZero:
     def test_contains(self):
-        ok, cert = hull_contains_zero([[1.0], [-1.0]], 1e-9)
-        assert ok and cert.norm <= 1e-9
+        cert = min_norm_point([[1.0], [-1.0]], 1e-9)
+        assert cert.norm <= 1e-9
 
     def test_not_contains(self):
-        ok, cert = hull_contains_zero([[1.0], [3.0]], 1e-9)
-        assert not ok
+        cert = min_norm_point([[1.0], [3.0]], 1e-9)
+        assert cert.norm > 1e-9
         assert cert.norm == pytest.approx(1.0)
 
     def test_v_block_pair(self):
         # the second-coordinate blocks of {(1,-2),(1,2)}: used by po_sample
-        ok, cert = hull_contains_zero([[-2.0], [2.0]], 1e-9)
-        assert ok
+        cert = min_norm_point([[-2.0], [2.0]], 1e-9)
+        assert cert.norm <= 1e-9
         assert np.allclose(cert.weights, [0.5, 0.5])

@@ -134,7 +134,6 @@ class TestPoSample:
         am = _closed_form("convex_hull_necessary", [0.0])
         rev = ArgmaxResult(maximizers=list(reversed(am.maximizers)),
                            value=am.value, boundary_flag=am.boundary_flag,
-                           multiplicity_tol=am.multiplicity_tol,
                            segment=am.segment)
         a = po_sample(spec.prog, [0.0], am).atoms.atoms
         b = po_sample(spec.prog, [0.0], rev).atoms.atoms
@@ -144,7 +143,7 @@ class TestPoSample:
         # a non-maximizer y leaves every branch with a nonzero y-block
         spec = problems.load_problem("envelope_gap")
         fake = ArgmaxResult(maximizers=[np.array([0.5])], value=-0.5,
-                            boundary_flag=False, multiplicity_tol=1e-8)
+                            boundary_flag=False)
         with pytest.raises(EmptyPOSample):
             po_sample(spec.prog, [1.0], fake)
 
@@ -157,8 +156,7 @@ class TestPoSample:
         atoms = po.atoms.atoms.ravel()
         delta = 2.0 * Y / 64
         assert atoms.min() <= -Y + delta and atoms.max() >= Y - delta
-        ok, _ = hull.hull_contains_zero(po.atoms.atoms, 1e-9)
-        assert ok
+        assert hull.min_norm_point(po.atoms.atoms, 1e-9).norm <= 1e-9
 
     def test_smooth_saddle_po_matches_derivative(self):
         # f(x) = x^2/2 so the PO atom set is exactly {x}
