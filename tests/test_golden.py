@@ -11,6 +11,7 @@ subdifferential sample or fractal CSV fails here.
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -194,3 +195,64 @@ def test_fractal_csvs(tmp_path):
     digests = {name: _sha((tmp_path / name).read_bytes())
                for name in FRACTAL_CSVS}
     assert digests == FRACTAL_CSVS
+
+
+# ---------------------------------------------------------------------------
+# Compilation: printed text, lowered tape and kink slots of random programs
+# ---------------------------------------------------------------------------
+
+# constant spellings: signed zeros, overflow to +-inf, parenthesized literals
+CONST_TEXTS = ("0", "-0", "(-0)", "-(0)", "0.0", "2", "-(2)", "(2)", "0.5",
+               "-2.5", "3.25", "1e999", "-1e999", "(-1e999)", "1e-3", "7")
+
+
+def random_dsl(rng, depth, p, r, pool):
+    """A random DSL text over x0..x{p-1}, y0..y{r-1}; ``pool`` holds earlier
+    subexpressions, which reappear verbatim."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    if depth == 0 or (pool and rng.random() < 0.15):
+        roll = rng.random()
+        if roll < 0.4:
+            text = rng.choice(CONST_TEXTS)
+        elif roll < 0.7:
+            text = f"x{rng.randrange(p)}"
+        else:
+            text = f"y{rng.randrange(r)}"
+    else:
+        kind = rng.choice(("neg", "add", "sub", "mul", "pow", "abs", "min",
+                           "max", "paren"))
+        a = random_dsl(rng, depth - 1, p, r, pool)
+        if kind == "neg":
+            text = f"-({a})" if a.startswith("-") or rng.random() < 0.5 else f"-{a}"
+        elif kind == "paren":
+            text = f"({a})"
+        elif kind == "pow":
+            text = f"pow({a}, {rng.randint(1, 4)})"
+        elif kind == "abs":
+            text = f"abs({a})"
+        else:
+            b = random_dsl(rng, depth - 1, p, r, pool)
+            if kind in ("min", "max"):
+                text = f"{kind}({a}, {b})"
+            else:
+                text = a + {"add": " + ", "sub": " - ", "mul": "*"}[kind] + b
+    pool.append(text)
+    return text
+
+
+COMPILE_DIGEST = "d4e515909aad183f3707ac7264731a0f6c39e871334ddf96bb2731b413616ed1"
+
+
+def compile_digest(n=500) -> str:
+    h = hashlib.sha256()
+    for seed in range(n):
+        rng = random.Random(seed)
+        p, r = 1 + seed % 2, 1 + (seed // 2) % 2
+        prog = expr.parse(random_dsl(rng, 5, p, r, []), p, r)
+        h.update(repr((str(prog), prog.lowered[0], prog.lowered[1])).encode())
+    return h.hexdigest()
+
+
+def test_expr_compile_digest():
+    assert compile_digest() == COMPILE_DIGEST
