@@ -9,20 +9,20 @@ a query point exactly when the argument of one of the lowered abs nodes
 vanishes (up to ``eps_kink``).  Gradients of individual smooth selections
 are obtained by fixing a sign for each active abs node and running forward
 differentiation; every such selection gradient is an element of the Clarke
-subdifferential of F.  Programs are compiled once to flat tapes, and all
-evaluation runs on those; see ExprProgram.
+subdifferential of F.  ``parse`` emits a program straight into a flat value
+tape, and all evaluation runs on that tape and on those derived from it; see
+ExprProgram.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -36,73 +36,6 @@ class ExprSyntaxError(ExprError):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-# ---------------------------------------------------------------------------
-# AST nodes.  Frozen dataclasses give structural equality/hashing.  The kink
-# machinery does not use it: the tapes key nodes on id(), and the lowered
-# tape's ``eq`` tape decides which abs subtrees are structurally equal, so
-# that they describe the same kink surface and share one switch.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    block: str  # "x" or "y"
-    index: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    a: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    a: "Node"
-    n: int
-
-
-@dataclass(frozen=True)
-class Abs:
-    a: "Node"
-
-
-@dataclass(frozen=True)
-class Min:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Max:
-    a: "Node"
-    b: "Node"
-
-
-Node = Union[Const, Var, Neg, Add, Sub, Mul, Pow, Abs, Min, Max]
 
 
 @dataclass
@@ -143,27 +76,24 @@ class SubdiffSample:
 class ExprProgram:
     """F(x, y) over dim_x x-variables and dim_y y-variables.
 
-    Construction validates ``root`` and compiles it to ``tape``, which
-    computes F with native min/max; ``lowered`` and ``scalar`` are built on
-    first use.
+    ``tape`` is the value tape that ``parse`` emits; it computes F with
+    native min/max.  ``lowered`` and ``scalar`` are built from it on first
+    use.  Programs compare and hash as (tape, dim_x, dim_y).
     """
 
-    root: Node
+    tape: tuple
     dim_x: int
     dim_y: int
-    tape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise ExprError("dim_x and dim_y must be >= 1")
-        object.__setattr__(self, "tape", _value_tape(self.root, self.dim_x, self.dim_y))
 
     @cached_property
     def lowered(self) -> tuple[tuple, tuple, np.ndarray]:
         """(tape, kinks) of F with min/max rewritten through abs (see
         _lowered_tape), and the rows of the identity, the variables' gradients."""
-        return (*_lowered_tape(self.root, self.dim_x, self.dim_y),
-                np.eye(self.dim_x + self.dim_y))
+        return (*_lowered_tape(self.tape), np.eye(self.dim_x + self.dim_y))
 
     @cached_property
     def scalar(self) -> Callable[[list, list], float]:
@@ -174,23 +104,21 @@ class ExprProgram:
         return _scalar_function(self.tape)
 
     def __reduce__(self):
-        # rebuilt from the tree: the generated function cannot be pickled
-        return ExprProgram, (self.root, self.dim_x, self.dim_y)
+        # the cached generated function cannot be pickled
+        return ExprProgram, (self.tape, self.dim_x, self.dim_y)
 
     def __str__(self) -> str:
-        return to_text(self.root)
+        return to_text(self)
 
 
 # ---------------------------------------------------------------------------
-# Compilation.  A tape is a tuple of (op, a, b) instructions, one per slot;
+# Tapes.  A tape is a tuple of (op, a, b) instructions, one per slot;
 # operands are earlier slots and the root is the last slot:
 #   ("const", value, 0)  ("x", index, 0)  ("y", index, 0)  ("pow", slot, n)
 #   ("neg", slot, 0)     ("abs", slot, k)  k: the switch, in the lowered tape
 #   ("add" | "sub" | "mul" | "min" | "max", slot, slot)
 # ---------------------------------------------------------------------------
 
-_KIND = {Neg: "neg", Abs: "abs", Add: "add", Sub: "sub", Mul: "mul",
-         Min: "min", Max: "max"}
 _BINARY = frozenset(("add", "sub", "mul", "min", "max"))
 _LEAVES = frozenset(("const", "x", "y"))
 
@@ -221,94 +149,53 @@ def _minmax(t: _Tape, op: str, a: int, b: int, k=0) -> tuple[int, int, int]:
     return t.emit("mul", t.emit("const", 0.5), s), d, m
 
 
-def _instruction(node, p: int, r: int) -> tuple:
-    """Validated (op, a, b) of one AST node, with child nodes as operands."""
-    kind = _KIND.get(type(node))
-    if kind is not None:
-        return kind, node.a, getattr(node, "b", 0)
-    if isinstance(node, Const):
-        if not isinstance(node.value, (float, int, numbers.Real)):
-            raise ExprError(f"constant must be a real number, got {node.value!r}")
-        return "const", float(node.value), 0
-    if isinstance(node, Var):
-        dim = {"x": p, "y": r}.get(node.block, 0)
-        if not isinstance(node.index, (int, numbers.Integral)) or not 0 <= node.index < dim:
-            raise ExprError(
-                f"variable {node.block}{node.index} out of range (dim {dim})")
-        return node.block, int(node.index), 0
-    if isinstance(node, Pow):
-        if not isinstance(node.n, int) or node.n < 1:
-            raise ExprError(f"pow exponent must be a positive integer, got {node.n!r}")
-        return "pow", node.a, node.n
-    raise ExprError(f"unknown node type {type(node).__name__}")
-
-
-def _postorder(root: Node, p: int, r: int):
-    """Validate the tree and yield (node, (op, a, b), rank, last), children first.
-
-    The walk is iterative, so depth is limited only by memory, and visits
-    each node object once.  ``rank`` is the node's preorder number and
-    ``last`` the highest one given out so far, that of the node's last
-    descendant.
-    """
-    seen, rank = set(), 0
-    stack: list[tuple] = [(root, None, 0)]
-    while stack:
-        node, ins, entered = stack.pop()
-        if ins is not None:
-            yield node, ins, entered, rank
-        elif id(node) not in seen:
-            seen.add(id(node))
-            ins = _instruction(node, p, r)
-            rank += 1
-            stack.append((node, ins, rank))
-            if ins[0] in _BINARY:
-                stack.append((ins[2], None, 0))
-            if ins[0] not in _LEAVES:
-                stack.append((ins[1], None, 0))
-
-
-def _value_tape(root: Node, p: int, r: int) -> tuple:
-    tape, slot = _Tape(), {}
-    for node, (op, a, b), _, _ in _postorder(root, p, r):
-        if op not in _LEAVES:
-            a, b = slot[id(a)], slot[id(b)] if op in _BINARY else b
-        slot[id(node)] = tape.emit(op, a, b)
-    return tuple(tape.ops)
-
-
-def _lowered_tape(root: Node, p: int, r: int) -> tuple[tuple, tuple]:
+def _lowered_tape(tape: tuple) -> tuple[tuple, tuple]:
     """The tape of F with min(a, b) = (a + b - |a - b|)/2 and max likewise.
 
-    Its abs nodes are switches: structurally equal abs subtrees of the
-    lowered tree share one, and switches are numbered in the preorder of
+    Its abs nodes are switches: structurally equal abs subexpressions of the
+    lowered program share one, and switches are numbered in the preorder of
     their first occurrence.  The ``eq`` tape tracks that equality, under
-    which a 0.0 and a -0.0 constant are equal, as AST dataclasses compare.
-    Returns (tape, kinks), kinks[k] being the slot of switch k's argument
-    at that occurrence.
+    which a 0.0 and a -0.0 constant are equal, though the value tape tells
+    them apart.  The walk is an iterative depth-first search from the root
+    that visits each value slot once, so depth is limited only by memory; a
+    slot seen before holds no first occurrence.  Returns (tape, kinks),
+    kinks[k] being the slot of switch k's argument at that occurrence.
     """
     low, eq = _Tape(), _Tape()
     switches: dict[int, tuple[float, int]] = {}  # eq abs slot -> (rank, argument)
-    slot: dict[int, tuple[int, int]] = {}  # id(node) -> low and eq slots
-    for node, (op, a, b), rank, last in _postorder(root, p, r):
-        if op in _LEAVES:  # for eq, a + 0.0 turns a -0.0 constant into 0.0
-            slot[id(node)] = (low.emit(op, a),
-                              eq.emit(op, a + 0.0 if op == "const" else a))
+    slot: dict[int, tuple[int, int]] = {}  # value slot -> low and eq slots
+    # entries are (slot, 0) before the visit and (slot, preorder rank) after
+    # its operands, ``rank`` then being the rank of its last descendant
+    rank, stack = 0, [(len(tape) - 1, 0)]
+    while stack:
+        i, entered = stack.pop()
+        op, a, b = tape[i]
+        if not entered:
+            if i not in slot:  # a slot met again has been left already
+                rank += 1
+                stack.append((i, rank))
+                if op in _BINARY:
+                    stack.append((b, 0))
+                if op not in _LEAVES:
+                    stack.append((a, 0))
             continue
-        la, ca = slot[id(a)]
-        lb, cb = slot[id(b)] if op in _BINARY else (b, b)
+        if op in _LEAVES:  # for eq, a + 0.0 turns a -0.0 constant into 0.0
+            slot[i] = low.emit(op, a), eq.emit(op, a + 0.0 if op == "const" else a)
+            continue
+        la, ca = slot[a]
+        lb, cb = slot[b] if op in _BINARY else (b, b)
         if op in ("min", "max"):
             c, _, m = _minmax(eq, op, ca, cb)
             lslot, d, _ = _minmax(low, op, la, lb, m)
             # |a - b| follows a and b, and precedes later nodes, in preorder
-            switches.setdefault(m, (last + 0.5, d))
+            switches.setdefault(m, (rank + 0.5, d))
         elif op == "abs":
             c = eq.emit(op, ca)
-            switches.setdefault(c, (rank, la))
+            switches.setdefault(c, (entered, la))
             lslot = low.emit(op, la, c)
         else:
             c, lslot = eq.emit(op, ca, cb), low.emit(op, la, lb)
-        slot[id(node)] = (lslot, c)
+        slot[i] = lslot, c
     order = sorted(switches, key=lambda c: switches[c][0])
     number = {c: k for k, c in enumerate(order)}
     lowered = tuple((op, a, number[b]) if op == "abs" else (op, a, b)
@@ -369,51 +256,63 @@ class _Tokenizer:
 
 
 class _Parser:
+    """Recursive descent that emits into a _Tape as it parses.
+
+    Every rule returns a slot, or a float for a constant that no instruction
+    has used yet: a unary minus folds into such a literal, so negative
+    constants round-trip exactly, and a constant takes a slot only when an
+    instruction uses it.
+    """
+
     def __init__(self, text: str, dim_x: int, dim_y: int):
         self.tk = _Tokenizer(text)
         self.dim_x = dim_x
         self.dim_y = dim_y
+        self.tape = _Tape()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def _slot(self, v) -> int:
+        return self.tape.emit("const", v) if isinstance(v, float) else v
+
+    def _emit(self, op: str, a, b=0) -> int:
+        a = self._slot(a)
+        return self.tape.emit(op, a, self._slot(b) if op in _BINARY else b)
+
+    def parse(self) -> tuple:
+        self._slot(self.expr())  # the root, which is the last slot emitted
         kind, tok, pos = self.tk.next_token()
         if kind != "end":
             self.tk.error(f"unexpected trailing input {tok!r}", pos)
-        return node
+        return tuple(self.tape.ops)
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self):
+        v = self.term()
         while self.tk.peek() in ("+", "-"):
             _, op, _ = self.tk.next_token()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            v = self._emit("add" if op == "+" else "sub", v, self.term())
+        return v
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self):
+        v = self.factor()
         while self.tk.peek() == "*":
             self.tk.next_token()
-            node = Mul(node, self.factor())
-        return node
+            v = self._emit("mul", v, self.factor())
+        return v
 
-    def factor(self) -> Node:
+    def factor(self):
         if self.tk.peek() == "-":
             self.tk.next_token()
             a = self.atom()
-            # fold literals so negative constants round-trip exactly
-            if isinstance(a, Const):
-                return Const(-a.value)
-            return Neg(a)
+            return -a if isinstance(a, float) else self.tape.emit("neg", a)
         return self.atom()
 
-    def atom(self) -> Node:
+    def atom(self):
         kind, tok, pos = self.tk.next_token()
         if kind == "num":
-            return Const(float(tok))
+            return float(tok)
         if kind == "op" and tok == "(":
-            node = self.expr()
+            v = self.expr()
             self.tk.expect(")")
-            return node
+            return v
         if kind == "name":
             if tok in ("x", "y"):
                 return self._variable(tok, pos)
@@ -421,23 +320,23 @@ class _Parser:
                 self.tk.expect("(")
                 a = self.expr()
                 if tok == "abs":
-                    node = Abs(a)
+                    v = self._emit("abs", a)
                 elif tok == "pow":
                     self.tk.expect(",")
                     nk, ntok, npos = self.tk.next_token()
                     if nk != "num" or not _INT_RE.match(ntok) or int(ntok) < 1:
                         self.tk.error("pow exponent must be a positive integer", npos)
-                    node = Pow(a, int(ntok))
+                    v = self._emit("pow", a, int(ntok))
                 else:
                     self.tk.expect(",")
-                    node = (Min if tok == "min" else Max)(a, self.expr())
+                    v = self._emit(tok, a, self.expr())
                 self.tk.expect(")")
-                return node
+                return v
             self.tk.error(f"unknown function or variable {tok!r}", pos)
         self.tk.error(f"expected an atom, got {tok!r}" if tok else "unexpected end of input",
                       pos)
 
-    def _variable(self, block: str, pos: int) -> Var:
+    def _variable(self, block: str, pos: int) -> int:
         # index digits must be adjacent to the block letter: "x0", "y12"
         m = _DIGITS_RE.match(self.tk.text, self.tk.pos)
         if not m:
@@ -447,7 +346,7 @@ class _Parser:
         dim = self.dim_x if block == "x" else self.dim_y
         if index >= dim:
             self.tk.error(f"variable {block}{index} out of range (dim {dim})", pos)
-        return Var(block, index)
+        return self.tape.emit(block, index)
 
 
 def parse(text: str, dim_x: int, dim_y: int) -> ExprProgram:
@@ -459,11 +358,11 @@ def parse(text: str, dim_x: int, dim_y: int) -> ExprProgram:
     """
     parser = _Parser(text, dim_x, dim_y)
     try:
-        root = parser.parse()
+        tape = parser.parse()
     except RecursionError:
         line, col = parser.tk._line_col(parser.tk.pos)
         raise ExprSyntaxError("expression nested too deeply", line, col) from None
-    return ExprProgram(root, dim_x, dim_y)
+    return ExprProgram(tape, dim_x, dim_y)
 
 
 # ---------------------------------------------------------------------------
@@ -473,45 +372,43 @@ def parse(text: str, dim_x: int, dim_y: int) -> ExprProgram:
 _LVL_EXPR, _LVL_TERM, _LVL_FACTOR = 0, 1, 2
 
 
-def _layout(node: Node, level: int) -> list:
-    """The text of ``node`` printed at ``level``: strings, and (child, level)
-    pairs that stand for the text of a child."""
-    if isinstance(node, Const):
-        s = repr(node.value)
-        return [f"({s})" if node.value < 0 and level > _LVL_FACTOR else s]
-    if isinstance(node, Var):
-        return [f"{node.block}{node.index}"]
-    if isinstance(node, Abs):
-        return ["abs(", (node.a, _LVL_EXPR), ")"]
-    if isinstance(node, (Min, Max)):
-        name = "min" if isinstance(node, Min) else "max"
-        return [f"{name}(", (node.a, _LVL_EXPR), ", ", (node.b, _LVL_EXPR), ")"]
-    if isinstance(node, Pow):
-        return ["pow(", (node.a, _LVL_EXPR), f", {node.n})"]
-    if isinstance(node, Neg):
-        parts, bound = ["-", (node.a, _LVL_FACTOR + 1)], _LVL_FACTOR
-    elif isinstance(node, (Add, Sub)):
-        op = " + " if isinstance(node, Add) else " - "
-        parts, bound = [(node.a, _LVL_EXPR), op, (node.b, _LVL_TERM)], _LVL_EXPR
-    elif isinstance(node, Mul):
-        parts, bound = [(node.a, _LVL_TERM), "*", (node.b, _LVL_FACTOR)], _LVL_TERM
+def _layout(tape: tuple, i: int, level: int) -> list:
+    """The text of slot ``i`` printed at ``level``: strings, and (slot, level)
+    pairs that stand for the text of an operand."""
+    op, a, b = tape[i]
+    if op == "const":
+        s = repr(a)
+        return [f"({s})" if a < 0 and level > _LVL_FACTOR else s]
+    if op in ("x", "y"):
+        return [f"{op}{a}"]
+    if op == "abs":
+        return ["abs(", (a, _LVL_EXPR), ")"]
+    if op in ("min", "max"):
+        return [f"{op}(", (a, _LVL_EXPR), ", ", (b, _LVL_EXPR), ")"]
+    if op == "pow":
+        return ["pow(", (a, _LVL_EXPR), f", {b})"]
+    if op == "neg":
+        parts, bound = ["-", (a, _LVL_FACTOR + 1)], _LVL_FACTOR
+    elif op == "mul":
+        parts, bound = [(a, _LVL_TERM), "*", (b, _LVL_FACTOR)], _LVL_TERM
     else:
-        raise ExprError(f"unknown node type {type(node).__name__}")
+        op = " + " if op == "add" else " - "
+        parts, bound = [(a, _LVL_EXPR), op, (b, _LVL_TERM)], _LVL_EXPR
     return parts if level <= bound else ["(", *parts, ")"]
 
 
-def to_text(node: Node | ExprProgram) -> str:
-    """DSL text of a tree; iterative, so depth is limited only by memory."""
-    if isinstance(node, ExprProgram):
-        node = node.root
+def to_text(prog: ExprProgram) -> str:
+    """DSL text of a program, walked from the root slot; a shared slot is
+    printed at each use.  Iterative, so depth is limited only by memory."""
+    tape = prog.tape
     out: list[str] = []
-    stack: list = [(node, _LVL_EXPR)]
+    stack: list = [(len(tape) - 1, _LVL_EXPR)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
         else:
-            stack.extend(reversed(_layout(*item)))
+            stack.extend(reversed(_layout(tape, *item)))
     return "".join(out)
 
 

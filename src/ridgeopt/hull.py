@@ -57,15 +57,6 @@ class MinNormCertificate:
     gap: float
     converged: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "atoms": self.atoms.tolist(),
-            "weights": self.weights.tolist(),
-            "point": self.point.tolist(),
-            "norm": self.norm,
-            "gap": self.gap,
-        }
-
 
 def _as_atoms(atoms) -> np.ndarray:
     if isinstance(atoms, AtomSet):

@@ -158,6 +158,25 @@ def _snap(prog: _expr.ExprProgram, x: np.ndarray, y: np.ndarray, fy: float,
     return y, fy
 
 
+def _grid_scan(prog: _expr.ExprProgram, x, box: YBox,
+               grid_n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The grid_n^r lattice over ``box``, one point a row, and F(x, .) on it.
+
+    Raises ValueError for grid_n < 2, r > 3 or a nonfinite value.
+    """
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    if box.r > 3:
+        raise ValueError("grid oracle supports r <= 3")
+    axes = [np.linspace(box.lower[j], box.upper[j], grid_n) for j in range(box.r)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    ys = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = _expr.eval_many(prog, x, ys)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("objective evaluated to a nonfinite value on the grid")
+    return ys, vals
+
+
 def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
                        grid_n: int = 64, n_starts: int = 8,
                        tol_y: float = 1e-10, delta_f: float = 1e-8,
@@ -170,21 +189,10 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
     ties, so flat objectives report well-separated maximizers), and keeps
     every distinct local optimum within delta_f of the best.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    r = box.r
-    if r > 3:
-        raise ValueError("grid oracle supports r <= 3")
     x = np.asarray(x, dtype=float)
-
-    axes = [np.linspace(box.lower[j], box.upper[j], grid_n) for j in range(r)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ys = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = _expr.eval_many(prog, x, ys)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("objective evaluated to a nonfinite value on the grid")
+    ys, vals = _grid_scan(prog, x, box, grid_n)
 
     best = float(np.max(vals))
     tied = np.flatnonzero(vals >= best - delta_f)
@@ -198,7 +206,7 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
     # eval_many has checked the dimensions
     f = prog.scalar
     xl = x.tolist()
-    lower, upper = box.lower.tolist(), box.upper.tolist()
+    r, lower, upper = box.r, box.lower.tolist(), box.upper.tolist()
     cell = [(upper[j] - lower[j]) / (grid_n - 1) for j in range(r)]
     candidates: list[tuple[np.ndarray, float]] = []
     for idx in pick:

@@ -157,10 +157,18 @@ def list_problems() -> list[tuple[str, str]]:
 
 
 def _validate(spec: ProblemSpec, n_points: int = 100, seed: int = 20240109):
-    """Check closed form and known value against the grid oracle."""
+    """Check closed form and known value against the grid oracle.
+
+    With neither to compare, only the oracle's grid scan runs, for its
+    checks of the box dimension and of finite values.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     lo, hi = spec.validation_range
     xs = rng.uniform(lo, hi, size=(n_points, spec.prog.dim_x))
+    if spec.known_value is None and spec.closed_form_argmax is None:
+        for x in xs:
+            _oracles._grid_scan(spec.prog, x, spec.box)
+        return
     for x in xs:
         xv = x[0] if x.shape[0] == 1 else x  # known values of p = 1 take a float
         am = _oracles.argmax_grid_refine(spec.prog, x, spec.box)

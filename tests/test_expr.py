@@ -16,22 +16,23 @@ ENVELOPE = "-abs(x0 - y0)"
 class TestParse:
     def test_convex_hull_ast(self):
         prog = parse(CONVEX_HULL, 1, 1)
-        assert isinstance(prog.root, expr.Sub)
-        assert isinstance(prog.root.a, expr.Mul)
-        # abs-of-abs chain on the right
-        inner = prog.root.b.b if isinstance(prog.root.b, expr.Mul) else prog.root.b
-        assert isinstance(inner, expr.Abs)
-        assert isinstance(inner.a, expr.Sub)
-        assert isinstance(inner.a.a, expr.Abs)
+        assert str(prog) == "x0*y0 - 2.0*abs(abs(y0) - 1.0)"
+        # operands come first, y0 has one slot, and a constant takes its
+        # slot when an instruction first uses it
+        assert prog.tape == (("x", 0, 0), ("y", 0, 0), ("mul", 0, 1),
+                             ("abs", 1, 0), ("const", 1.0, 0), ("sub", 3, 4),
+                             ("abs", 5, 0), ("const", 2.0, 0), ("mul", 7, 6),
+                             ("sub", 2, 8))
 
     def test_single_variable(self):
-        prog = parse("x0", 1, 1)
-        assert prog.root == expr.Var("x", 0)
+        assert parse("x0", 1, 1).tape == (("x", 0, 0),)
+        assert parse("-(2)", 1, 1).tape == (("const", -2.0, 0),)
 
     def test_po_failure_ast(self):
         prog = parse(PO_FAILURE, 1, 1)
-        assert isinstance(prog.root, expr.Sub)
-        assert isinstance(prog.root.a, expr.Min)
+        assert str(prog) == "min(0.0, y0) - y0*min(abs(x0), 1.0)"
+        op, a, b = prog.tape[-1]
+        assert op == "sub" and prog.tape[a][0] == "min" and prog.tape[b][0] == "mul"
 
     @pytest.mark.parametrize("text", [CONVEX_HULL, PO_FAILURE, ENVELOPE,
                                       "pow(x0, 3) - min(x0, max(y0, 2))",
@@ -40,17 +41,27 @@ class TestParse:
     def test_round_trip(self, text):
         prog = parse(text, 1, 1)
         again = parse(to_text(prog), 1, 1)
-        assert again.root == prog.root
+        assert again == prog
+        assert str(again) == str(prog)
 
     def test_negative_literal_folds_and_round_trips(self):
         prog = parse("-1.53 + x0*-2*y0", 1, 1)
-        assert isinstance(prog.root.a, expr.Const) and prog.root.a.value == -1.53
-        again = parse(to_text(prog), 1, 1)
-        assert again.root == prog.root
-        # a hand-built Neg over a negative literal still prints parseably
-        node = expr.Neg(expr.Const(-2.5))
-        assert parse(to_text(expr.ExprProgram(node, 1, 1)), 1, 1).root == \
-            expr.Const(2.5)
+        assert str(prog) == "-1.53 + x0*-2.0*y0"
+        assert prog.tape[prog.tape[-1][1]] == ("const", -1.53, 0)
+        # no neg instruction, and no slot for the unnegated literals
+        assert [op for op, _, _ in prog.tape].count("const") == 2
+        assert all(op != "neg" for op, _, _ in prog.tape)
+        assert parse(to_text(prog), 1, 1) == prog
+        # a hand-built neg over a negative literal still prints parseably
+        neg = expr.ExprProgram((("const", -2.5, 0), ("neg", 0, 0)), 1, 1)
+        assert to_text(neg) == "-(-2.5)"
+        assert parse(to_text(neg), 1, 1).tape == (("const", 2.5, 0),)
+
+    def test_equality_is_tape_equality(self):
+        # equal zeros of opposite sign get two slots, so the tapes differ
+        assert parse("abs(0) + abs(-0)", 1, 1) != parse("abs(0) + abs(0)", 1, 1)
+        assert parse("x0 + (y0)", 1, 1) == parse("(x0) + y0", 1, 1)
+        assert parse("x0 + y0", 1, 1) != parse("x0 + y0", 1, 2)
 
     def test_syntax_error_position(self):
         with pytest.raises(ExprSyntaxError) as ei:
@@ -76,17 +87,13 @@ class TestParse:
             parse("x + y0", 1, 1)
 
     def test_deep_nesting_is_a_syntax_error(self):
-        assert parse("(" * 100 + "x0" + ")" * 100, 1, 1).root == expr.Var("x", 0)
+        assert parse("(" * 100 + "x0" + ")" * 100, 1, 1).tape == (("x", 0, 0),)
         with pytest.raises(ExprSyntaxError, match="nested too deeply"):
             parse("(" * 500 + "x0" + ")" * 500, 1, 1)
 
-    @pytest.mark.parametrize("node", [
-        expr.Var("x", 1), expr.Var("z", 0), expr.Var("x", 0.0),
-        expr.Pow(expr.Var("x", 0), 0), expr.Add(expr.Var("y", 0), "y0"),
-        expr.Neg(expr.Const("1"))])
-    def test_invalid_program_fails_at_construction(self, node):
+    def test_dimensions_at_least_one(self):
         with pytest.raises(ExprError):
-            expr.ExprProgram(node, 1, 1)
+            expr.ExprProgram((("x", 0, 0),), 0, 1)
 
 
 class TestPickle:
@@ -125,9 +132,13 @@ class TestDeep:
         assert text.startswith("abs(y0 - 0.0) + abs(y0 - 1.0) + ")
         assert str(deep_sum) == text
         again = parse(text, 1, 1)
-        # tapes are flat tuples: comparing them does not recurse like == on the trees
-        assert again.tape == deep_sum.tape
+        # programs compare as flat tapes, so == does not recurse
+        assert again == deep_sum
         assert to_text(again) == text
+
+    def test_hash_and_repr(self, deep_sum):
+        assert hash(deep_sum) == hash(parse(str(deep_sum), 1, 1))
+        assert repr(deep_sum).startswith("ExprProgram(tape=((")
 
 
 class TestEval:

@@ -2,10 +2,12 @@
 
 The reference below is the tree-walking evaluator and forward-mode
 selection gradient that the package used before programs were compiled to
-a tape.  Random programs, including infinite and negative constants under
-pow, structurally equal subtrees that differ only in the sign of a zero
-constant, ties at +-0.0, NaN inputs and overflowing pow, must give bitwise
-equal values, eval_many arrays, kink arguments and selection gradients.
+a tape, on trees of its own.  Random trees are printed as DSL text and
+parsed.  They include infinite and negative constants under pow and
+structurally equal subtrees that differ only in the sign of a zero
+constant; with ties at +-0.0, NaN inputs and overflowing pow, every
+compiled path must give bitwise equal values, eval_many arrays, kink
+arguments and selection gradients.
 
 All NaNs count as one.  Where two NaNs meet, which one survives depends on
 numpy's array loop (memory alignment) and on whether CPython has
@@ -27,125 +29,116 @@ import numpy as np
 import pytest
 
 from ridgeopt import expr
-from ridgeopt.expr import (Abs, Add, Const, ExprProgram, Max, Min, Mul, Neg,
-                           Pow, Sub, Var)
 
 
 # ---------------------------------------------------------------------------
-# Reference interpreter
+# Reference interpreter over tuple trees:
+#   ("const", value)  ("x", index)  ("y", index)  ("pow", a, n)
+#   ("neg", a)  ("abs", a)  ("add" | "sub" | "mul" | "min" | "max", a, b)
+# Tuples compare structurally, 0.0 == -0.0 included.
 # ---------------------------------------------------------------------------
 
 def ref_lower(node):
-    if isinstance(node, (Const, Var)):
+    op = node[0]
+    if op in ("const", "x", "y"):
         return node
-    if isinstance(node, Neg):
-        return Neg(ref_lower(node.a))
-    if isinstance(node, Abs):
-        return Abs(ref_lower(node.a))
-    if isinstance(node, Pow):
-        return Pow(ref_lower(node.a), node.n)
-    a, b = ref_lower(node.a), ref_lower(node.b)
-    if isinstance(node, Add):
-        return Add(a, b)
-    if isinstance(node, Sub):
-        return Sub(a, b)
-    if isinstance(node, Mul):
-        return Mul(a, b)
-    if isinstance(node, Min):
-        return Mul(Const(0.5), Sub(Add(a, b), Abs(Sub(a, b))))
-    return Mul(Const(0.5), Add(Add(a, b), Abs(Sub(a, b))))
+    if op == "pow":
+        return ("pow", ref_lower(node[1]), node[2])
+    if op in ("neg", "abs"):
+        return (op, ref_lower(node[1]))
+    a, b = ref_lower(node[1]), ref_lower(node[2])
+    if op in ("add", "sub", "mul"):
+        return (op, a, b)
+    return ("mul", ("const", 0.5),
+            ("sub" if op == "min" else "add", ("add", a, b), ("abs", ("sub", a, b))))
 
 
 def ref_collect_abs(node, seen):
-    if isinstance(node, Abs):
-        if node not in seen:
-            seen[node] = None
-        ref_collect_abs(node.a, seen)
-    elif isinstance(node, (Neg, Pow)):
-        ref_collect_abs(node.a, seen)
-    elif isinstance(node, (Add, Sub, Mul, Min, Max)):
-        ref_collect_abs(node.a, seen)
-        ref_collect_abs(node.b, seen)
+    if node[0] == "abs" and node not in seen:
+        seen[node] = None
+    if node[0] not in ("const", "x", "y"):
+        ref_collect_abs(node[1], seen)
+    if node[0] in ("add", "sub", "mul", "min", "max"):
+        ref_collect_abs(node[2], seen)
 
 
 class Ref:
     """A program with its lowered tree and unique abs nodes, computed once."""
 
-    def __init__(self, root, p, r):
-        self.root, self.p, self.r = root, p, r
-        self.lowered = ref_lower(root)
+    def __init__(self, tree, p, r):
+        self.tree, self.p, self.r = tree, p, r
+        self.lowered = ref_lower(tree)
         seen = {}
         ref_collect_abs(self.lowered, seen)
         self.abs_nodes = tuple(seen)
 
 
 def ref_eval_node(node, x, y):
-    if isinstance(node, Const):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return x[node.index] if node.block == "x" else y[node.index]
-    if isinstance(node, Neg):
-        return -ref_eval_node(node.a, x, y)
-    if isinstance(node, Add):
-        return ref_eval_node(node.a, x, y) + ref_eval_node(node.b, x, y)
-    if isinstance(node, Sub):
-        return ref_eval_node(node.a, x, y) - ref_eval_node(node.b, x, y)
-    if isinstance(node, Mul):
-        return ref_eval_node(node.a, x, y) * ref_eval_node(node.b, x, y)
-    if isinstance(node, Pow):
-        return ref_eval_node(node.a, x, y) ** node.n
-    if isinstance(node, Abs):
-        return np.abs(ref_eval_node(node.a, x, y))
-    if isinstance(node, Min):
-        return np.minimum(ref_eval_node(node.a, x, y), ref_eval_node(node.b, x, y))
-    return np.maximum(ref_eval_node(node.a, x, y), ref_eval_node(node.b, x, y))
+    op = node[0]
+    if op == "const":
+        return np.float64(node[1])
+    if op == "x":
+        return x[node[1]]
+    if op == "y":
+        return y[node[1]]
+    a = ref_eval_node(node[1], x, y)
+    if op == "neg":
+        return -a
+    if op == "pow":
+        return a ** node[2]
+    if op == "abs":
+        return np.abs(a)
+    b = ref_eval_node(node[2], x, y)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    return np.minimum(a, b) if op == "min" else np.maximum(a, b)
 
 
 def ref_eval_grad(node, x, y, signs, dim, xoff, yoff):
-    if isinstance(node, Const):
-        return np.float64(node.value), np.zeros(dim)
-    if isinstance(node, Var):
+    op = node[0]
+    if op == "const":
+        return np.float64(node[1]), np.zeros(dim)
+    if op in ("x", "y"):
         g = np.zeros(dim)
-        if node.block == "x":
-            g[xoff + node.index] = 1.0
-            return x[node.index], g
-        g[yoff + node.index] = 1.0
-        return y[node.index], g
-    if isinstance(node, Neg):
-        v, g = ref_eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        return -v, -g
-    if isinstance(node, Pow):
-        va, ga = ref_eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-        return va ** node.n, node.n * va ** (node.n - 1) * ga
-    if isinstance(node, Abs):
-        va, ga = ref_eval_grad(node.a, x, y, signs, dim, xoff, yoff)
+        g[(xoff if op == "x" else yoff) + node[1]] = 1.0
+        return (x if op == "x" else y)[node[1]], g
+    va, ga = ref_eval_grad(node[1], x, y, signs, dim, xoff, yoff)
+    if op == "neg":
+        return -va, -ga
+    if op == "pow":
+        n = node[2]
+        return va ** n, n * va ** (n - 1) * ga
+    if op == "abs":
         if node in signs:
             s = signs[node]
         else:
             s = 1.0 if va > 0 else (-1.0 if va < 0 else 0.0)
         return abs(va), s * ga
-    va, ga = ref_eval_grad(node.a, x, y, signs, dim, xoff, yoff)
-    vb, gb = ref_eval_grad(node.b, x, y, signs, dim, xoff, yoff)
-    if isinstance(node, Add):
+    vb, gb = ref_eval_grad(node[2], x, y, signs, dim, xoff, yoff)
+    if op == "add":
         return va + vb, ga + gb
-    if isinstance(node, Sub):
+    if op == "sub":
         return va - vb, ga - gb
     return va * vb, vb * ga + va * gb
 
 
 def ref_eval(ref, x, y):
-    return float(ref_eval_node(ref.root, np.asarray(x, float), np.asarray(y, float)))
+    return float(ref_eval_node(ref.tree, np.asarray(x, float), np.asarray(y, float)))
 
 
 def ref_eval_many(ref, x, ys):
     cols = [ys[:, j] for j in range(ys.shape[1])]
-    out = ref_eval_node(ref.root, np.asarray(x, float), cols)
+    out = ref_eval_node(ref.tree, np.asarray(x, float), cols)
     return np.broadcast_to(np.asarray(out, dtype=float), (ys.shape[0],)).copy()
 
 
 def ref_kink_args(ref, x, y):
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return [float(ref_eval_node(n.a, x, y)) for n in ref.abs_nodes]
+    return [float(ref_eval_node(n[1], x, y)) for n in ref.abs_nodes]
 
 
 def ref_active(ref, x, y, eps_kink):
@@ -199,45 +192,77 @@ VALUES = (0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 0.25, 0.5,
           math.nan, -math.nan, math.inf, -math.inf, 1e200, -1e155)
 
 
-def copy_tree(node, flip_zeros):
-    """A structurally equal copy; flip_zeros swaps 0.0 and -0.0 constants."""
-    if isinstance(node, Const):
-        v = node.value
-        return Const(-v if flip_zeros and v == 0.0 else v)
-    if isinstance(node, Var):
-        return Var(node.block, node.index)
-    if isinstance(node, Pow):
-        return Pow(copy_tree(node.a, flip_zeros), node.n)
-    if isinstance(node, (Neg, Abs)):
-        return type(node)(copy_tree(node.a, flip_zeros))
-    return type(node)(copy_tree(node.a, flip_zeros), copy_tree(node.b, flip_zeros))
+def flip_zeros(node):
+    """A structurally equal copy with 0.0 and -0.0 constants swapped."""
+    if node[0] == "const":
+        return ("const", -node[1]) if node[1] == 0.0 else node
+    if node[0] in ("x", "y"):
+        return node
+    if node[0] == "pow":
+        return ("pow", flip_zeros(node[1]), node[2])
+    return (node[0],) + tuple(flip_zeros(a) for a in node[1:])
 
 
 def random_tree(rng, depth, p, r, pool):
     if pool and rng.random() < 0.2:
         old = rng.choice(pool)
-        roll = rng.random()
-        if roll < 0.3:
-            return old  # the same object twice
-        return copy_tree(old, flip_zeros=roll < 0.7)
+        return flip_zeros(old) if rng.random() < 0.5 else old
     if depth == 0 or rng.random() < 0.15:
         if rng.random() < 0.35:
-            node = Const(rng.choice(CONSTS))
+            node = ("const", rng.choice(CONSTS))
         elif rng.random() < 0.5:
-            node = Var("x", rng.randrange(p))
+            node = ("x", rng.randrange(p))
         else:
-            node = Var("y", rng.randrange(r))
+            node = ("y", rng.randrange(r))
     else:
-        kind = rng.choice((Neg, Add, Sub, Mul, Pow, Abs, Abs, Min, Max, Min, Max))
-        if kind is Pow:
-            node = Pow(random_tree(rng, depth - 1, p, r, pool), rng.randint(1, 5))
-        elif kind in (Neg, Abs):
-            node = kind(random_tree(rng, depth - 1, p, r, pool))
+        op = rng.choice(("neg", "add", "sub", "mul", "pow", "abs", "abs",
+                         "min", "max", "min", "max"))
+        a = random_tree(rng, depth - 1, p, r, pool)
+        if op == "pow":
+            node = ("pow", a, rng.randint(1, 5))
+        elif op == "neg" and a[0] == "const":
+            node = ("const", -a[1])  # the parser folds a negated literal
+        elif op in ("neg", "abs"):
+            node = (op, a)
         else:
-            node = kind(random_tree(rng, depth - 1, p, r, pool),
-                        random_tree(rng, depth - 1, p, r, pool))
+            node = (op, a, random_tree(rng, depth - 1, p, r, pool))
     pool.append(node)
     return node
+
+
+_INFIX = {"add": " + ", "sub": " - ", "mul": "*"}
+
+
+def to_dsl(node) -> str:
+    """DSL text that parses to ``node``: every infix operation and negative
+    constant in parentheses, and +-inf written as the overflowing 1e999."""
+    op = node[0]
+    if op == "const":
+        v = node[1]
+        text = "1e999" if math.isinf(v) else repr(abs(v))
+        return f"(-{text})" if math.copysign(1.0, v) < 0 else text
+    if op in ("x", "y"):
+        return f"{op}{node[1]}"
+    if op == "pow":
+        return f"pow({to_dsl(node[1])}, {node[2]})"
+    if op == "neg":
+        return f"-({to_dsl(node[1])})"
+    if op == "abs":
+        return f"abs({to_dsl(node[1])})"
+    a, b = to_dsl(node[1]), to_dsl(node[2])
+    return f"({a}{_INFIX[op]}{b})" if op in _INFIX else f"{op}({a}, {b})"
+
+
+def tree_of(prog, slot=-1):
+    """The tuple tree of a parsed program, for the hand-written edge cases."""
+    op, a, b = prog.tape[slot]
+    if op in ("const", "x", "y"):
+        return (op, a)
+    if op == "pow":
+        return ("pow", tree_of(prog, a), b)
+    if op in ("neg", "abs"):
+        return (op, tree_of(prog, a))
+    return (op, tree_of(prog, a), tree_of(prog, b))
 
 
 def random_point(rng, n):
@@ -273,11 +298,10 @@ CASES = [(seed, 1 + seed % 2, 1 + (seed // 2) % 2 + (seed % 7 == 0))
          for seed in range(120)]
 
 
-def check_against_reference(root, p, r, points):
-    """Every compiled path at each (x, ys) point; ys[0] is the y of the
-    scalar paths."""
-    prog = ExprProgram(root, p, r)
-    ref = Ref(root, p, r)
+def check_against_reference(prog, tree, points):
+    """Every compiled path of ``prog`` against the reference on ``tree``, at
+    each (x, ys) point; ys[0] is the y of the scalar paths."""
+    ref = Ref(tree, prog.dim_x, prog.dim_y)
     with np.errstate(all="ignore"):
         for x, ys in points:
             y = ys[0]
@@ -305,11 +329,11 @@ def check_against_reference(root, p, r, points):
 @pytest.mark.parametrize("seed,p,r", CASES)
 def test_random_programs_match_reference(seed, p, r):
     rng = random.Random(seed)
-    root = random_tree(rng, 4, p, r, [])
+    tree = random_tree(rng, 4, p, r, [])
     points = [(random_point(rng, p),
                np.array([random_point(rng, r) for _ in range(5)]))
               for _ in range(2)]
-    check_against_reference(root, p, r, points)
+    check_against_reference(expr.parse(to_dsl(tree), p, r), tree, points)
 
 
 @pytest.mark.parametrize("text", [
@@ -318,7 +342,7 @@ def test_random_programs_match_reference(seed, p, r):
     "pow(1e999, 3) - pow(-1e999, 3) + x0*pow(-2.5, 5)"])
 def test_edge_values_match_reference(text):
     """Overflowing pow of either sign, ties at +-0.0, infinities and NaN."""
-    root = expr.parse(text, 1, 1).root
+    prog = expr.parse(text, 1, 1)
     edge = [-1e155, 1e155, -0.0, 0.0, math.inf, -math.inf, math.nan, 2.0]
     points = [([a], np.array([[b], [a], [-b]])) for a in edge for b in edge]
-    check_against_reference(root, 1, 1, points)
+    check_against_reference(prog, tree_of(prog), points)

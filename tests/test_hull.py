@@ -87,11 +87,6 @@ class TestMinNormPoint:
         with pytest.raises(ValueError):
             min_norm_point([[1.0]], tol=0.0)
 
-    def test_json_shape(self):
-        cert = min_norm_point([[1.0], [-1.0]])
-        d = cert.to_dict()
-        assert set(d) == {"atoms", "weights", "point", "norm", "gap"}
-
 
 class TestCaratheodory:
     def test_collinear_reduction(self):

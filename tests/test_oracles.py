@@ -97,6 +97,18 @@ class TestRegistry:
         with pytest.raises(KeyError):
             problems.load_problem("nope")
 
+    @pytest.mark.parametrize("pid", [pid for pid, _ in problems.list_problems()])
+    def test_po_atoms_are_the_value_derivative(self, pid):
+        # definable objectives: the PO formula is conservative, so at almost
+        # every x each atom is f'(x)
+        spec = problems.load_problem(pid)
+        rng = np.random.Generator(np.random.Philox(91))
+        h = 1e-6
+        for xv in rng.uniform(*spec.validation_range, 30):
+            slope = (spec.known_value(xv + h) - spec.known_value(xv - h)) / (2 * h)
+            po = po_sample(spec.prog, [xv], _closed_form(pid, [xv]))
+            assert np.all(np.abs(po.atoms.atoms[:, 0] - slope) <= 1e-6), (xv, slope)
+
 
 class TestPoSample:
     def test_convex_hull_pair(self):

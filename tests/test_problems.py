@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ridgeopt import expr, oracles, problems
+from ridgeopt import cli, expr, oracles, problems
 
 
 class TestRegistry:
@@ -101,4 +101,36 @@ class TestProblemFiles:
             "known_value_expr": "1",
             "validation_range": [-3.0, 3.0]}))
         with pytest.raises(ValueError):
+            problems.load_problem(str(path))
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"expr": "1e999*y0 - x0"}, "nonfinite value on the grid"),
+        ({"dim_y": 4, "expr": "x0*y3", "box_lower": [-1.0] * 4,
+          "box_upper": [1.0] * 4}, "grid oracle supports r <= 3"),
+    ])
+    def test_file_without_known_value_still_scans_the_grid(
+            self, tmp_path, capsys, fields, message):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps({
+            "id": "scan", "dim_x": 1, "dim_y": 1, "box_lower": [-1.0],
+            "box_upper": [1.0], **fields}))
+        with pytest.raises(ValueError, match=message):
+            problems.load_problem(str(path))
+        assert cli.main(["certify", "--problem", str(path), "--x0", "0",
+                         "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_file_without_known_value_runs_no_ascent(self, tmp_path, monkeypatch):
+        def no_ascent(*args):
+            raise AssertionError("golden-section ascent ran")
+
+        monkeypatch.setattr(oracles, "_golden_max", no_ascent)
+        fields = {"id": "plain", "dim_x": 2, "dim_y": 1, "expr": "-abs(x0 + x1 - y0)",
+                  "box_lower": [-5.0], "box_upper": [5.0]}
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(fields))
+        assert problems.load_problem(str(path)).id == "plain"
+        # with a value to compare, validation does ascend
+        path.write_text(json.dumps({**fields, "known_value_expr": "0"}))
+        with pytest.raises(AssertionError, match="ascent ran"):
             problems.load_problem(str(path))
