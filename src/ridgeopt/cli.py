@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
 from . import fractal as _fractal
 from . import hull as _hull
@@ -40,6 +41,50 @@ _STALL_X = 0.5  # abscissa of the fractal stall demo
 _PROBE_DIRS = 64
 
 
+# config key: (dataclass, field, flag help); keys without help have no flag.
+# run reads every key, certify the problem, x0, tol and OracleSettings keys.
+_KEYS = {
+    "problem": (_ridge.RunConfig, "problem", "problem id or problem file path"),
+    "x0": (_ridge.RunConfig, "x0", "initial point of a run, or the point to certify"),
+    "alpha0": (_ridge.RunConfig, "alpha0", "step scale"),
+    "gamma": (_ridge.RunConfig, "gamma", "step decay in (0,1]"),
+    "iters": (_ridge.RunConfig, "budget", "iteration budget"),
+    "atom_rule": (_ridge.RunConfig, "atom_rule", "atom taken at each step"),
+    "seed": (_ridge.RunConfig, "seed", "seed for the run"),
+    "tol": (_ridge.RunConfig, "tol", "criticality tolerance"),
+    "tau_y": (_oracles.OracleSettings, "tau_y",
+              "y-block residual tolerance for PO atoms"),
+    "oracle_mode": (_oracles.OracleSettings, "mode", "maximizer oracle"),
+    **{key: (_oracles.OracleSettings, key, None) for key in
+       ("delta_f", "delta_y", "grid_n", "n_starts", "max_branches", "eps_kink")},
+}
+_CERTIFY_KEYS = [k for k, (cls, _, _) in _KEYS.items()
+                 if cls is _oracles.OracleSettings or k in ("problem", "x0", "tol")]
+_CHOICES = {"atom_rule": _ridge.ATOM_RULES, "oracle_mode": _oracles.MODES}
+_FIELDS = {key: next(f for f in fields(cls) if f.name == name)
+           for key, (cls, name, _) in _KEYS.items()}
+# field type: (cast of one value, what a config value must be)
+_TYPES = {"str": (str, "a string"), "int": (int, "a number"),
+          "float": (float, "a number"),
+          "list[float]": (float, "a number or a list of numbers")}
+
+
+def _cast(key: str, value, kind: str):
+    """``value`` cast to the field type ``kind``; a ValueError naming ``key``
+    for null, another JSON type than the field's or a number the cast
+    rejects (NaN or infinity for an int)."""
+    cast, what = _TYPES[kind]
+    items = value if kind == "list[float]" and isinstance(value, list) else [value]
+    try:
+        if not items or any(isinstance(v, bool) or isinstance(v, str) != (cast is str)
+                            for v in items):
+            raise TypeError
+        out = [cast(v) for v in items]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}") from None
+    return out if kind == "list[float]" else out[0]
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -50,7 +95,7 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merged(args: argparse.Namespace, cfg: dict, keys: list[str]) -> dict:
+def _merged(args: argparse.Namespace, cfg: dict, keys) -> dict:
     """Config-file values overridden by explicitly passed flags."""
     out = {k: cfg[k] for k in keys if k in cfg}
     for k in keys:
@@ -60,164 +105,118 @@ def _merged(args: argparse.Namespace, cfg: dict, keys: list[str]) -> dict:
     return out
 
 
+def _config(args: argparse.Namespace, cfg: dict, keys) -> _ridge.RunConfig:
+    """The RunConfig and OracleSettings that ``keys`` set, each value cast
+    by its field's type; unset fields keep their defaults."""
+    merged = _merged(args, cfg, keys)
+    for key in keys:
+        if key not in merged and _FIELDS[key].default is MISSING:
+            raise ValueError(f"--{key} is required")
+    run, oracle = _ridge.RunConfig, _oracles.OracleSettings
+    values = {run: {}, oracle: {}}
+    for key, value in merged.items():
+        cls, name, _ = _KEYS[key]
+        values[cls][name] = _cast(key, value, _FIELDS[key].type)
+    return run(**values[run], oracle=oracle(**values[oracle]))
+
+
 def _out_dir(args: argparse.Namespace, cfg: dict) -> str:
-    return args.out or cfg.get("out") or "."
+    if args.out:
+        return args.out
+    return _cast("out", cfg["out"], "str") if "out" in cfg else "."
 
 
-_ORACLE_KEYS = {"oracle_mode": "mode", "tau_y": "tau_y", "delta_f": "delta_f",
-                "delta_y": "delta_y", "grid_n": "grid_n", "n_starts": "n_starts",
-                "max_branches": "max_branches", "eps_kink": "eps_kink"}
-
-
-def _oracle_settings(merged: dict) -> _ridge.OracleSettings:
-    """Settings from the merged keys, each cast to its field default's type."""
-    return _ridge.OracleSettings(**{
-        name: type(getattr(_ridge.OracleSettings, name))(merged[key])
-        for key, name in _ORACLE_KEYS.items() if key in merged})
-
-
-def _run_config(args: argparse.Namespace, cfg: dict) -> _ridge.RunConfig:
-    merged = _merged(args, cfg, ["problem", "x0", "alpha0", "gamma", "iters",
-                            "atom_rule", "seed", "tol", *_ORACLE_KEYS])
-    if "problem" not in merged:
-        raise ValueError("a problem id or file is required (--problem)")
-    if "x0" not in merged:
-        raise ValueError("an initial point is required (--x0)")
-    x0 = merged["x0"]
-    if isinstance(x0, (int, float)):
-        x0 = [float(x0)]
-    settings = _oracle_settings(merged)
-    return _ridge.RunConfig(
-        problem=str(merged["problem"]),
-        x0=[float(v) for v in x0],
-        alpha0=float(merged.get("alpha0", 0.5)),
-        gamma=float(merged.get("gamma", 1.0)),
-        budget=int(merged.get("iters", 500)),
-        atom_rule=str(merged.get("atom_rule", "min_norm_atom")),
-        seed=int(merged.get("seed", 0)),
-        tol=float(merged.get("tol", 1e-6)),
-        oracle=settings,
-    )
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-        config = _run_config(args, cfg)
-        out_dir = _out_dir(args, cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        traj, report = _ridge.run(config)
-        with open(os.path.join(out_dir, "trajectory.jsonl"), "w") as fh:
-            for line in traj.jsonl_lines():
-                fh.write(line + "\n")
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        if report.aborted:
-            print(f"run aborted: {report.error}", file=sys.stderr)
-            return 2
-        print(f"run complete: {report.iterations} iterations, "
-              f"f_final={report.f_final}, report in {out_dir}/report.json")
-        return 0
-    except (_oracles.EmptyPOSample, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+def cmd_run(args: argparse.Namespace, cfg: dict) -> int:
+    config = _config(args, cfg, _KEYS)
+    out_dir = _out_dir(args, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    traj, report = _ridge.run(config)
+    with open(os.path.join(out_dir, "trajectory.jsonl"), "w") as fh:
+        for line in traj.jsonl_lines():
+            fh.write(line + "\n")
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+        fh.write("\n")
+    if report.aborted:
+        print(f"run aborted: {report.error}", file=sys.stderr)
         return 2
+    print(f"run complete: {report.iterations} iterations, "
+          f"f_final={report.f_final}, report in {out_dir}/report.json")
+    return 0
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-        merged = _merged(args, cfg, ["problem", "x0", "tol", *_ORACLE_KEYS])
-        if "problem" not in merged or "x0" not in merged:
-            raise ValueError("certify needs --problem and --x0")
-        x0 = merged["x0"]
-        if isinstance(x0, (int, float)):
-            x0 = [float(x0)]
-        settings = _oracle_settings(merged)
-        tol = float(merged.get("tol", 1e-6))
-        spec = _problems.load_problem(str(merged["problem"]))
-        cert = _ridge.certify_po_critical(spec, x0, settings, tol)
-        out_dir = _out_dir(args, cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        payload = {"problem": spec.id, **cert.to_dict()}
-        with open(os.path.join(out_dir, "certificate.json"), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        verdict = "critical" if cert.verdict else "not critical"
-        print(f"{spec.id} at x={x0}: {verdict} "
-              f"(min-norm {cert.min_norm:.3e}, vertex min-norm "
-              f"{cert.vertex_min_norm:.3e})")
-        return 0 if cert.verdict else 1
-    except (_oracles.EmptyPOSample, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
+    config = _config(args, cfg, _CERTIFY_KEYS)
+    spec = _problems.load_problem(config.problem)
+    cert = _ridge.certify_po_critical(spec, config.x0, config.oracle, config.tol)
+    out_dir = _out_dir(args, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    payload = {"problem": spec.id, **cert.to_dict()}
+    with open(os.path.join(out_dir, "certificate.json"), "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    verdict = "critical" if cert.verdict else "not critical"
+    print(f"{spec.id} at x={config.x0}: {verdict} "
+          f"(min-norm {cert.min_norm:.3e}, vertex min-norm "
+          f"{cert.vertex_min_norm:.3e})")
+    return 0 if cert.verdict else 1
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def cmd_fractal(args: argparse.Namespace, cfg: dict) -> int:
+    merged = _merged(args, cfg, ["depth_min", "depth_max", "diag"])
+    depth_min = _cast("depth_min", merged.get("depth_min", 0), "int")
+    depth_max = _cast("depth_max", merged.get("depth_max", 8), "int")
+    if not 0 <= depth_min <= depth_max <= _fractal.MAX_DEPTH:
+        raise ValueError(f"depths must satisfy 0 <= min <= max <= {_fractal.MAX_DEPTH}")
+    diags = merged.get("diag", [])
+    if isinstance(diags, str):
+        diags = [d.strip() for d in diags.split(",") if d.strip()]
+    if not (isinstance(diags, list) and all(isinstance(d, str) for d in diags)):
+        raise ValueError("diag must be a string or a list of strings, "
+                         f"got {json.dumps(diags)}")
+    diags = diags or list(_DIAGNOSTICS)
+    unknown = set(diags) - set(_DIAGNOSTICS)
+    if unknown:
+        raise ValueError(f"unknown diagnostics {sorted(unknown)}; "
+                         f"choose from {_DIAGNOSTICS}")
+    out_dir = _out_dir(args, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+
+    # one set per depth serves every diagnostic; all rows are computed
+    # before any CSV is written
+    rows: dict[str, list] = {name: [_CSV_HEADERS[name]] for name in _DIAGNOSTICS}
+    for d in range(depth_min, depth_max + 1):
+        F = _fractal.build_fractal(d)
+        if "projections" in diags:
+            rows["projections"].append([
+                d,
+                float(_fractal.axis_projection_length(F, "x")),
+                float(_fractal.axis_projection_length(F, "y")),
+                _fractal.rotated_projection_length(F, (1, 2)),
+                _fractal.rotated_projection_length(F, (2, 1))])
+        if "tv" in diags:
+            rows["tv"].append([d, float(_fractal.min_total_variation(F))])
+        if "probes" in diags and d >= 1:  # probe radius must exceed the square side
+            z = _fractal.chain_point(F, _STALL_X)
+            pr = _fractal.subdiff_probe(F, z, _fractal.probe_radius(d), _PROBE_DIRS)
+            rows["probes"].append([d, pr.max_angular_gap, len(pr.directions)])
+        if "po" in diags:
+            po = _fractal.g_po_sample(F, _STALL_X, n_dirs=_PROBE_DIRS)
+            cert = _hull.min_norm_point(po.atoms.atoms, tol=1e-12)
+            atoms = po.atoms.atoms.ravel()
+            rows["po"].append([d, cert.norm, float(atoms.min()), float(atoms.max())])
+
+    for name in _DIAGNOSTICS:
+        if name in diags:
+            with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+                csv.writer(fh).writerows(rows[name])
+
+    print(f"fractal diagnostics {sorted(set(diags))} for depths "
+          f"{depth_min}..{depth_max} written to {out_dir}")
+    return 0
 
 
-def cmd_fractal(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-        merged = _merged(args, cfg, ["depth_min", "depth_max", "diag"])
-        depth_min = int(merged.get("depth_min", 0))
-        depth_max = int(merged.get("depth_max", 8))
-        if not 0 <= depth_min <= depth_max <= _fractal.MAX_DEPTH:
-            raise ValueError(f"depths must satisfy 0 <= min <= max <= {_fractal.MAX_DEPTH}")
-        diags = merged.get("diag") or list(_DIAGNOSTICS)
-        if isinstance(diags, str):
-            diags = [d.strip() for d in diags.split(",") if d.strip()]
-        unknown = set(diags) - set(_DIAGNOSTICS)
-        if unknown:
-            raise ValueError(f"unknown diagnostics {sorted(unknown)}; "
-                             f"choose from {_DIAGNOSTICS}")
-        out_dir = _out_dir(args, cfg)
-        os.makedirs(out_dir, exist_ok=True)
-
-        # one set per depth serves every diagnostic; all rows are computed
-        # before any CSV is written
-        rows: dict[str, list] = {name: [] for name in _DIAGNOSTICS}
-        for d in range(depth_min, depth_max + 1):
-            F = _fractal.build_fractal(d)
-            if "projections" in diags:
-                rows["projections"].append([
-                    d,
-                    float(_fractal.axis_projection_length(F, "x")),
-                    float(_fractal.axis_projection_length(F, "y")),
-                    _fractal.rotated_projection_length(F, (1, 2)),
-                    _fractal.rotated_projection_length(F, (2, 1))])
-            if "tv" in diags:
-                rows["tv"].append([d, float(_fractal.min_total_variation(F))])
-            if "probes" in diags and d >= 1:  # probe radius must exceed the square side
-                z = _fractal.chain_point(F, _STALL_X)
-                pr = _fractal.subdiff_probe(F, z, _fractal.probe_radius(d),
-                                            _PROBE_DIRS)
-                rows["probes"].append([d, pr.max_angular_gap, len(pr.directions)])
-            if "po" in diags:
-                po = _fractal.g_po_sample(F, _STALL_X, n_dirs=_PROBE_DIRS)
-                cert = _hull.min_norm_point(po.atoms.atoms, tol=1e-12)
-                atoms = po.atoms.atoms.ravel()
-                rows["po"].append([d, cert.norm, float(atoms.min()),
-                                   float(atoms.max())])
-
-        for name in _DIAGNOSTICS:
-            if name in diags:
-                _write_csv(os.path.join(out_dir, f"{name}.csv"), _CSV_HEADERS[name],
-                           rows[name])
-
-        print(f"fractal diagnostics {sorted(set(diags))} for depths "
-              f"{depth_min}..{depth_max} written to {out_dir}")
-        return 0
-    except (ValueError, OSError, _fractal.ProbeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_list_problems(_args: argparse.Namespace) -> int:
+def cmd_list_problems(_args: argparse.Namespace, _cfg: dict) -> int:
     for pid, notes in _problems.list_problems():
         print(f"{pid}: {notes}")
     return 0
@@ -233,31 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default: cwd)")
 
+    def add_keys(p, keys):
+        for key in keys:
+            help_text = _KEYS[key][2]
+            if help_text is None:
+                continue
+            f = _FIELDS[key]
+            if f.default is not MISSING:
+                help_text += f" (default {f.default})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=_TYPES[f.type][0], choices=_CHOICES.get(key),
+                           nargs="+" if key == "x0" else None, help=help_text)
+
     p_run = sub.add_parser("run", help="execute a ridge run")
     add_common(p_run)
-    p_run.add_argument("--problem", help="problem id or problem file path")
-    p_run.add_argument("--x0", type=float, nargs="+", help="initial point")
-    p_run.add_argument("--alpha0", type=float, help="step scale (default 0.5)")
-    p_run.add_argument("--gamma", type=float, help="step decay in (0,1] (default 1)")
-    p_run.add_argument("--iters", type=int, help="iteration budget (default 500)")
-    p_run.add_argument("--atom-rule", dest="atom_rule",
-                       choices=["first", "min_norm_atom", "random"])
-    p_run.add_argument("--seed", type=int, help="seed for the run (default 0)")
-    p_run.add_argument("--tol", type=float, help="criticality tolerance")
-    p_run.add_argument("--tau-y", dest="tau_y", type=float,
-                       help="y-block residual tolerance for PO atoms")
-    p_run.add_argument("--oracle-mode", dest="oracle_mode",
-                       choices=["auto", "registry", "grid"])
+    add_keys(p_run, _KEYS)
     p_run.set_defaults(func=cmd_run)
 
     p_cert = sub.add_parser("certify", help="certify PO-criticality of a point")
     add_common(p_cert)
-    p_cert.add_argument("--problem", help="problem id or problem file path")
-    p_cert.add_argument("--x0", type=float, nargs="+", help="point to certify")
-    p_cert.add_argument("--tol", type=float, help="criticality tolerance")
-    p_cert.add_argument("--tau-y", dest="tau_y", type=float)
-    p_cert.add_argument("--oracle-mode", dest="oracle_mode",
-                        choices=["auto", "registry", "grid"])
+    add_keys(p_cert, _CERTIFY_KEYS)
     p_cert.set_defaults(func=cmd_certify)
 
     p_fr = sub.add_parser("fractal", help="counterexample diagnostics as CSVs")
@@ -270,14 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.set_defaults(func=cmd_fractal)
 
     p_ls = sub.add_parser("list-problems", help="list registered problems")
-    p_ls.set_defaults(func=cmd_list_problems)
+    p_ls.set_defaults(func=cmd_list_problems, config=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args, _load_config(args.config))
+    except (_oracles.EmptyPOSample, _fractal.ProbeError, ValueError, KeyError,
+            OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from . import expr as _expr
 from . import hull as _hull
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+MODES = ("auto", "registry", "grid")
 # decimals for _snap (ascending) and ridge._certify_candidates (descending)
 _ROUND_DIGITS = (0, 1, 2, 3, 4, 6, 8, 10, 12)
 
@@ -33,6 +34,36 @@ class EmptyPOSample(RuntimeError):
     An exact atom always exists, so this signals numerical settings (grid
     resolution, tau_y, kink tolerance), not a missing one.
     """
+
+
+@dataclass(frozen=True)
+class OracleSettings:
+    """How ridge/certify obtain maximizers and atoms, checked once here.
+
+    mode 'auto' uses a problem's closed form when registered and falls back
+    to the grid oracle; 'registry' and 'grid' force one path.
+    """
+
+    mode: str = "auto"
+    grid_n: int = 64
+    n_starts: int = 8
+    ascent_tol: float = 1e-10
+    tau_y: float = 1e-7
+    delta_f: float = 1e-8
+    delta_y: float = 1e-6
+    delta_box: float = 1e-9
+    max_branches: int = 64
+    eps_kink: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"oracle mode must be one of {MODES}")
+        if self.grid_n < 2:
+            raise ValueError("grid_n must be >= 2")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
+        if not (self.tau_y > 0 and self.delta_f > 0):
+            raise ValueError("tolerances must be > 0")
 
 
 @dataclass(frozen=True)
@@ -159,13 +190,11 @@ def _snap(prog: _expr.ExprProgram, x: np.ndarray, y: np.ndarray, fy: float,
 
 
 def _grid_scan(prog: _expr.ExprProgram, x, box: YBox,
-               grid_n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+               grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid_n^r lattice over ``box``, one point a row, and F(x, .) on it.
 
-    Raises ValueError for grid_n < 2, r > 3 or a nonfinite value.
+    Raises ValueError for r > 3 or a nonfinite value.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     if box.r > 3:
         raise ValueError("grid oracle supports r <= 3")
     axes = [np.linspace(box.lower[j], box.upper[j], grid_n) for j in range(box.r)]
@@ -178,10 +207,7 @@ def _grid_scan(prog: _expr.ExprProgram, x, box: YBox,
 
 
 def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
-                       grid_n: int = 64, n_starts: int = 8,
-                       tol_y: float = 1e-10, delta_f: float = 1e-8,
-                       delta_y: float = 1e-6,
-                       delta_box: float = 1e-9) -> ArgmaxResult:
+                       settings: OracleSettings = OracleSettings()) -> ArgmaxResult:
     """Grid scan plus local ascent approximation of the argmax set.
 
     Evaluates F(x, .) on a grid_n^r lattice, launches coordinate-wise
@@ -189,8 +215,7 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
     ties, so flat objectives report well-separated maximizers), and keeps
     every distinct local optimum within delta_f of the best.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    grid_n, n_starts, delta_f = settings.grid_n, settings.n_starts, settings.delta_f
     x = np.asarray(x, dtype=float)
     ys, vals = _grid_scan(prog, x, box, grid_n)
 
@@ -223,7 +248,7 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
                     yt[j] = t
                     return f(xl, yt)
 
-                t, ft = _golden_max(f1, lo, hi, tol_y)
+                t, ft = _golden_max(f1, lo, hi, settings.ascent_tol)
                 if ft > fy + 1e-15:
                     y[j] = t
                     fy = ft
@@ -237,12 +262,12 @@ def argmax_grid_refine(prog: _expr.ExprProgram, x, box: YBox,
     for y, fy in candidates:
         if fy < best_val - delta_f:
             continue
-        if any(np.linalg.norm(y - z) <= delta_y for z in kept):
+        if any(np.linalg.norm(y - z) <= settings.delta_y for z in kept):
             continue
         kept.append(y)
     kept.sort(key=lambda z: tuple(z))
 
-    boundary = any(box.touches(z, delta_box) for z in kept)
+    boundary = any(box.touches(z, settings.delta_box) for z in kept)
     return ArgmaxResult(maximizers=kept, value=best_val, boundary_flag=boundary)
 
 
@@ -253,8 +278,7 @@ def _segment_interior(ys: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
-              tau_y: float = 1e-7, max_branches: int = 64,
-              eps_kink: float = 0.0) -> POSample:
+              settings: OracleSettings = OracleSettings()) -> POSample:
     """Extract PO atoms u with (u, 0) in the subdifferential at maximizers.
 
     For each maximizer y the branch gradients {(u_j, v_j)} are collected;
@@ -270,10 +294,12 @@ def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
     if am.segment and prog.dim_y == 1 and len(ys) >= 2:
         ys = ys + _segment_interior(ys)
 
+    tau_y = settings.tau_y
     found: list[tuple[np.ndarray, np.ndarray, float]] = []  # (u, y, residual)
     incomplete = False
     for y in ys:
-        ss = _expr.subdiff_sample(prog, x, y, max_branches, eps_kink)
+        ss = _expr.subdiff_sample(prog, x, y, settings.max_branches,
+                                  settings.eps_kink)
         incomplete = incomplete or ss.incomplete
         els = ss.elements
         for el in els:

@@ -162,12 +162,13 @@ def _validate(spec: ProblemSpec, n_points: int = 100, seed: int = 20240109):
     With neither to compare, only the oracle's grid scan runs, for its
     checks of the box dimension and of finite values.
     """
+    settings = _oracles.OracleSettings()
     rng = np.random.Generator(np.random.Philox(seed))
     lo, hi = spec.validation_range
     xs = rng.uniform(lo, hi, size=(n_points, spec.prog.dim_x))
     if spec.known_value is None and spec.closed_form_argmax is None:
         for x in xs:
-            _oracles._grid_scan(spec.prog, x, spec.box)
+            _oracles._grid_scan(spec.prog, x, spec.box, settings.grid_n)
         return
     for x in xs:
         xv = x[0] if x.shape[0] == 1 else x  # known values of p = 1 take a float
@@ -178,7 +179,7 @@ def _validate(spec: ProblemSpec, n_points: int = 100, seed: int = 20240109):
                     f"problem {spec.id!r}: grid value {am.value!r} disagrees "
                     f"with known value {spec.known_value(xv)!r} at x={xv!r}")
         if spec.closed_form_argmax is not None:
-            cf = spec.closed_form_argmax(x, spec.box, 1e-9)
+            cf = spec.closed_form_argmax(x, spec.box, settings.delta_box)
             if abs(am.value - cf.value) > 1e-8:
                 raise ValueError(
                     f"problem {spec.id!r}: grid value {am.value!r} disagrees "
@@ -213,6 +214,8 @@ def _load_file(path: str) -> ProblemSpec:
     for key in ("id", "dim_x", "dim_y", "expr", "box_lower", "box_upper"):
         if key not in data:
             raise ValueError(f"problem file {path!r} missing field {key!r}")
+    if not isinstance(data["expr"], str):
+        raise ValueError(f"problem file {path!r}: field 'expr' must be a string")
     prog = _expr.parse(data["expr"], int(data["dim_x"]), int(data["dim_y"]))
     box = _oracles.YBox(np.atleast_1d(np.asarray(data["box_lower"], dtype=float)),
                         np.atleast_1d(np.asarray(data["box_upper"], dtype=float)))

@@ -19,12 +19,13 @@ import numpy as np
 from . import hull as _hull
 from . import oracles as _oracles
 from . import problems as _problems
+from .oracles import OracleSettings
 
 STALL_WINDOW = 50
 STALL_FLOOR = 1e-12
 ESCAPE_NORM = 1e6
 
-_ATOM_RULES = ("first", "min_norm_atom", "random")
+ATOM_RULES = ("first", "min_norm_atom", "random")
 
 
 @dataclass(frozen=True)
@@ -47,26 +48,6 @@ class StepSchedule:
 
 
 @dataclass
-class OracleSettings:
-    """How ridge/certify obtain maximizers and atoms.
-
-    mode 'auto' uses a problem's closed form when registered and falls back
-    to the grid oracle; 'registry' and 'grid' force one path.
-    """
-
-    mode: str = "auto"
-    grid_n: int = 64
-    n_starts: int = 8
-    ascent_tol: float = 1e-10
-    tau_y: float = 1e-7
-    delta_f: float = 1e-8
-    delta_y: float = 1e-6
-    delta_box: float = 1e-9
-    max_branches: int = 64
-    eps_kink: float = 0.0
-
-
-@dataclass
 class RunConfig:
     problem: str
     x0: list[float]
@@ -81,10 +62,10 @@ class RunConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.tol <= 0 or self.oracle.tau_y <= 0 or self.oracle.delta_f <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.atom_rule not in _ATOM_RULES:
-            raise ValueError(f"atom_rule must be one of {_ATOM_RULES}")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
+        if self.atom_rule not in ATOM_RULES:
+            raise ValueError(f"atom_rule must be one of {ATOM_RULES}")
         StepSchedule(self.alpha0, self.gamma)  # validates the schedule
 
     def schedule(self) -> StepSchedule:
@@ -195,18 +176,16 @@ def _resolve_problem(problem) -> _problems.ProblemSpec:
     return _problems.load_problem(problem)
 
 
-def _argmax(spec: _problems.ProblemSpec, x, settings: OracleSettings) -> _oracles.ArgmaxResult:
-    if settings.mode not in ("auto", "registry", "grid"):
-        raise ValueError("oracle mode must be auto, registry or grid")
+def _maximize_and_sample(spec: _problems.ProblemSpec, x, settings: OracleSettings
+                         ) -> tuple[_oracles.ArgmaxResult, _oracles.POSample]:
+    """The maximizer set at x from the configured oracle, and its PO atoms."""
     if settings.mode == "registry" and spec.closed_form_argmax is None:
         raise KeyError(f"problem {spec.id!r} has no closed-form argmax")
     if settings.mode != "grid" and spec.closed_form_argmax is not None:
-        return spec.closed_form_argmax(x, spec.box, settings.delta_box)
-    return _oracles.argmax_grid_refine(
-        spec.prog, x, spec.box, grid_n=settings.grid_n,
-        n_starts=settings.n_starts, tol_y=settings.ascent_tol,
-        delta_f=settings.delta_f, delta_y=settings.delta_y,
-        delta_box=settings.delta_box)
+        am = spec.closed_form_argmax(x, spec.box, settings.delta_box)
+    else:
+        am = _oracles.argmax_grid_refine(spec.prog, x, spec.box, settings)
+    return am, _oracles.po_sample(spec.prog, x, am, settings)
 
 
 def _pick_atom(po: _oracles.POSample, atom_rule: str, rng) -> int:
@@ -220,18 +199,15 @@ def _pick_atom(po: _oracles.POSample, atom_rule: str, rng) -> int:
         if rng is None:
             raise ValueError("atom_rule 'random' needs an rng")
         return int(rng.integers(n))
-    raise ValueError(f"atom_rule must be one of {_ATOM_RULES}")
+    raise ValueError(f"atom_rule must be one of {ATOM_RULES}")
 
 
 def ridge_step(x_k, problem, settings: OracleSettings, schedule: StepSchedule,
-               k: int, atom_rule: str = "min_norm_atom", rng=None):
+               k: int, atom_rule: str = RunConfig.atom_rule, rng=None):
     """One ridge update; returns (x_next, record dict)."""
     spec = _resolve_problem(problem)
     x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    am = _argmax(spec, x_k, settings)
-    po = _oracles.po_sample(spec.prog, x_k, am, tau_y=settings.tau_y,
-                            max_branches=settings.max_branches,
-                            eps_kink=settings.eps_kink)
+    am, po = _maximize_and_sample(spec, x_k, settings)
     idx = _pick_atom(po, atom_rule, rng)
     u = po.atoms.atoms[idx]
     y = po.provenance[idx].y
@@ -268,9 +244,7 @@ def run(config: RunConfig) -> tuple[Trajectory, RunReport]:
     traj = Trajectory(seed=config.seed, config_hash=config.config_hash())
 
     x = np.asarray(config.x0, dtype=float).copy()
-    boundary = False
-    stalled = False
-    aborted = False
+    boundary = stalled = aborted = False
     error = None
     window: list[float] = []
 
@@ -301,9 +275,7 @@ def run(config: RunConfig) -> tuple[Trajectory, RunReport]:
         tail = traj.fs[-max(1, len(traj.fs) // 10):]
         oscillation = float(max(tail) - min(tail))
 
-    certificate = None
-    certified_point = None
-    certified_distance = None
+    certificate = certified_point = certified_distance = None
     if not aborted:
         fallback = None
         for cand in _certify_candidates(x):
@@ -342,23 +314,22 @@ def run(config: RunConfig) -> tuple[Trajectory, RunReport]:
     return traj, report
 
 
-def certify_po_critical(problem, x_bar, settings: OracleSettings | None = None,
-                        tol: float = 1e-6) -> CriticalityCertificate:
+def certify_po_critical(problem, x_bar, settings: OracleSettings = OracleSettings(),
+                        tol: float = RunConfig.tol) -> CriticalityCertificate:
     """Decide whether 0 lies in the PO hull at x_bar, with a witness.
 
     Builds the PO sample at x_bar, runs the min-norm solve over the atom
     hull and reduces the weights by Caratheodory; verdict is true iff the
-    min-norm is <= tol.  EmptyPOSample propagates.
+    min-norm is <= tol.  Raises ValueError for tol <= 0 or a nonfinite
+    x_bar; EmptyPOSample propagates.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    spec = _resolve_problem(problem)
-    settings = settings or OracleSettings()
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    am = _argmax(spec, x_bar, settings)
-    po = _oracles.po_sample(spec.prog, x_bar, am, tau_y=settings.tau_y,
-                            max_branches=settings.max_branches,
-                            eps_kink=settings.eps_kink)
+    if not np.all(np.isfinite(x_bar)):
+        raise ValueError(f"x must be finite, got {x_bar.tolist()}")
+    spec = _resolve_problem(problem)
+    am, po = _maximize_and_sample(spec, x_bar, settings)
     cert = _hull.min_norm_point(po.atoms.atoms, tol)
     contains = cert.norm <= tol
     reduced = _hull.caratheodory_reduce(cert)

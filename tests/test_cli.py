@@ -6,6 +6,11 @@ import pytest
 
 from ridgeopt import cli
 
+ORACLE_KEYS = ["oracle_mode", "tau_y", "delta_f", "delta_y", "grid_n",
+               "n_starts", "max_branches", "eps_kink"]
+CERTIFY_KEYS = ["problem", "x0", "tol", *ORACLE_KEYS]
+RUN_KEYS = [*CERTIFY_KEYS, "alpha0", "gamma", "iters", "atom_rule", "seed"]
+
 
 def _run(argv):
     return cli.main(argv)
@@ -102,6 +107,12 @@ class TestCertify:
         assert _run(["certify", "--problem", "nope", "--x0", "0",
                      "--out", str(tmp_path)]) == 2
 
+    def test_nonfinite_point_exit_2_without_certificate(self, tmp_path, capsys):
+        assert _run(["certify", "--problem", "envelope_gap", "--x0", "nan",
+                     "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(str(tmp_path), "certificate.json"))
+
     def _problem(self, tmp_path, **fields):
         data = {"id": "custom", "dim_x": 1, "dim_y": 2, "expr": "-abs(x0 - y0)",
                 "box_lower": [-5.0, -5.0], "box_upper": [5.0, 5.0], **fields}
@@ -114,6 +125,13 @@ class TestCertify:
         assert _run(["certify", "--problem", prob, "--x0", "0",
                      "--out", str(tmp_path)]) == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, None, ["x0"]])
+    def test_non_string_expr_exit_2(self, tmp_path, capsys, value):
+        prob = self._problem(tmp_path, expr=value)
+        assert _run(["certify", "--problem", prob, "--x0", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert "'expr' must be a string" in capsys.readouterr().err
 
     def test_deep_nesting_exit_2(self, tmp_path, capsys):
         prob = self._problem(tmp_path, expr="(" * 500 + "x0" + ")" * 500)
@@ -170,6 +188,17 @@ class TestFractal:
         assert _run(["fractal", "--diag", "spectra",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("depth_min", None), ("depth_max", None), ("depth_max", [2]),
+        ("depth_min", "1"), ("diag", 5), ("diag", None), ("diag", ["tv", 5]),
+        ("out", None), ("out", 5)])
+    def test_wrong_typed_config_value_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth_max": 1, "out": str(tmp_path), key: value}))
+        assert _run(["fractal", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
 
 class TestConfig:
     @pytest.mark.parametrize("argv", [
@@ -216,6 +245,70 @@ class TestConfig:
         assert got == expected and type(got) is type(expected)
         # only the eight documented keys are read from a config
         assert seen[0].ascent_tol == cli._ridge.OracleSettings().ascent_tol
+
+
+class TestConfigValues:
+    """Every config key of run and certify is cast by its field's type."""
+
+    def _cfg(self, tmp_path, **values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "smooth_saddle", "x0": [0.5],
+                                   "out": str(tmp_path / "out"), **values}))
+        return str(cfg)
+
+    @pytest.mark.parametrize("command, key", [
+        *[("run", k) for k in RUN_KEYS], *[("certify", k) for k in CERTIFY_KEYS]])
+    @pytest.mark.parametrize("value", [None, [[1.0]]])
+    def test_null_or_list_value_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg = self._cfg(tmp_path, **{key: value})
+        assert _run([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("key, value", [
+        ("x0", "0.5"), ("x0", []), ("x0", [0.5, "a"]), ("x0", True),
+        ("problem", 5), ("atom_rule", 1), ("iters", "5"), ("seed", False),
+        ("grid_n", float("inf")), ("alpha0", {"v": 1})])
+    def test_wrong_typed_value_exit_2(self, tmp_path, capsys, key, value):
+        assert _run(["run", "--config", self._cfg(tmp_path, **{key: value})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_scalar_x0_and_flag_override(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, x0=0, tol=None)
+        assert _run(["certify", "--config", cfg, "--tol", "1e-9"]) == 0
+        assert "at x=[0.0]: critical" in capsys.readouterr().out
+
+    def test_keys_not_read_by_a_command_are_ignored(self, tmp_path):
+        cfg = self._cfg(tmp_path, x0=0, iters=None, ascent_tol=None,
+                        delta_box=None, depth_min=None)
+        assert _run(["certify", "--config", cfg]) == 0
+
+    def test_run_and_certify_share_the_settings(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_certify(spec, x, settings, tol):
+            seen.append((x, settings, tol))
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli._ridge, "certify_po_critical", fake_certify)
+        values = {"x0": 1, "tol": 1, "oracle_mode": "grid", "grid_n": 16.0,
+                  "tau_y": 1}
+        assert _run(["certify", "--config", self._cfg(tmp_path, **values)]) == 2
+        x, settings, tol = seen[0]
+        assert (x, tol) == ([1.0], 1.0)
+        assert settings == cli._oracles.OracleSettings(mode="grid", grid_n=16,
+                                                       tau_y=1.0)
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_help_quotes_the_field_defaults(self, capsys, command):
+        with pytest.raises(SystemExit):
+            _run([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default 1e-06)" in out and "{auto,registry,grid}" in out
+        if command == "run":
+            assert "(default 500)" in out and "(default min_norm_atom)" in out
 
 
 class TestListProblems:

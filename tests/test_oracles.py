@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ridgeopt import expr, hull, oracles, problems
-from ridgeopt.oracles import (YBox, ArgmaxResult, EmptyPOSample, POSample,
-                              argmax_grid_refine, po_sample)
+from ridgeopt.oracles import (YBox, ArgmaxResult, EmptyPOSample,
+                              OracleSettings, POSample, argmax_grid_refine,
+                              po_sample)
 
 
 def _box(lo, hi):
@@ -25,6 +26,19 @@ class TestYBox:
         with pytest.raises(ValueError):
             YBox(np.array([0.0]), np.array([np.inf]))
         assert _box(-1.0, 1.0).r == 1
+
+
+class TestOracleSettings:
+    @pytest.mark.parametrize("field, value", [
+        ("mode", "closed"), ("tau_y", 0.0), ("tau_y", float("nan")),
+        ("delta_f", -1e-8)])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            OracleSettings(**{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            OracleSettings().tau_y = 1.0
 
 
 class TestGridRefine:
@@ -55,11 +69,10 @@ class TestGridRefine:
             argmax_grid_refine(prog, [0.0], box)
 
     def test_bad_grid_params(self):
-        prog = expr.parse("-pow(y0, 2) + x0", 1, 1)
-        with pytest.raises(ValueError):
-            argmax_grid_refine(prog, [0.0], _box(-1, 1), grid_n=1)
-        with pytest.raises(ValueError):
-            argmax_grid_refine(prog, [0.0], _box(-1, 1), n_starts=0)
+        with pytest.raises(ValueError, match="grid_n"):
+            OracleSettings(grid_n=1)
+        with pytest.raises(ValueError, match="n_starts"):
+            OracleSettings(n_starts=0)
 
     def test_smooth_interior_max(self):
         prog = expr.parse("x0*y0 - 0.5*pow(y0, 2)", 1, 1)
@@ -71,7 +84,8 @@ class TestGridRefine:
     def test_two_dimensional_box(self):
         prog = expr.parse("-pow(y0 - x0, 2) - pow(y1 + 1, 2)", 1, 2)
         box = YBox(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-        am = argmax_grid_refine(prog, [0.5], box, grid_n=32, n_starts=4)
+        am = argmax_grid_refine(prog, [0.5], box,
+                                OracleSettings(grid_n=32, n_starts=4))
         assert am.maximizers[0] == pytest.approx([0.5, -1.0], abs=1e-6)
         assert am.value == pytest.approx(0.0, abs=1e-10)
 
@@ -138,7 +152,7 @@ class TestPoSample:
     def test_residuals_within_tau(self):
         spec = problems.load_problem("po_failure")
         am = _closed_form("po_failure", [0.0])
-        po = po_sample(spec.prog, [0.0], am, tau_y=1e-7)
+        po = po_sample(spec.prog, [0.0], am, OracleSettings(tau_y=1e-7))
         assert all(p.residual <= 1e-7 for p in po.provenance)
 
     def test_invariant_under_maximizer_order(self):

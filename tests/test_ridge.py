@@ -114,6 +114,9 @@ class TestRun:
             RunConfig(problem="envelope_gap", x0=[0.0], atom_rule="best")
         with pytest.raises(ValueError):
             RunConfig(problem="envelope_gap", x0=[0.0], tol=-1.0)
+        with pytest.raises(ValueError):
+            RunConfig(problem="envelope_gap", x0=[0.0],
+                      oracle=OracleSettings(tau_y=0.0))
 
 
 class TestCertify:
@@ -160,6 +163,11 @@ class TestCertify:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             certify_po_critical("envelope_gap", [0.0], tol=0.0)
+
+    @pytest.mark.parametrize("xv", [float("nan"), float("inf")])
+    def test_nonfinite_point_rejected(self, xv):
+        with pytest.raises(ValueError, match="finite"):
+            certify_po_critical("envelope_gap", [xv])
 
     def test_certificate_json_shape(self):
         cert = certify_po_critical("convex_hull_necessary", [0.0], tol=1e-9)
