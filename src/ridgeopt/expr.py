@@ -376,8 +376,8 @@ def _layout(tape: tuple, i: int, level: int) -> list:
     """The text of slot ``i`` printed at ``level``: strings, and (slot, level)
     pairs that stand for the text of an operand."""
     op, a, b = tape[i]
-    if op == "const":
-        s = repr(a)
+    if op == "const":  # inf has no literal; 1e999 parses to it
+        s = repr(a) if math.isfinite(a) else ("-1e999" if a < 0 else "1e999")
         return [f"({s})" if a < 0 and level > _LVL_FACTOR else s]
     if op in ("x", "y"):
         return [f"{op}{a}"]

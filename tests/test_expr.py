@@ -57,6 +57,14 @@ class TestParse:
         assert to_text(neg) == "-(-2.5)"
         assert parse(to_text(neg), 1, 1).tape == (("const", 2.5, 0),)
 
+    def test_infinite_constants_round_trip(self):
+        prog = parse("1e999 + x0", 1, 1)
+        assert str(prog) == "1e999 + x0"
+        assert parse(str(prog), 1, 1) == prog
+        prog = parse("pow(y0 - -1e999, 3)*-(1e999)", 1, 1)
+        assert str(prog) == "pow(y0 - -1e999, 3)*-1e999"
+        assert parse(str(prog), 1, 1) == prog
+
     def test_equality_is_tape_equality(self):
         # equal zeros of opposite sign get two slots, so the tapes differ
         assert parse("abs(0) + abs(-0)", 1, 1) != parse("abs(0) + abs(0)", 1, 1)

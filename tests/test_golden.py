@@ -241,7 +241,7 @@ def random_dsl(rng, depth, p, r, pool):
     return text
 
 
-COMPILE_DIGEST = "d4e515909aad183f3707ac7264731a0f6c39e871334ddf96bb2731b413616ed1"
+COMPILE_DIGEST = "0a00ac831b921859d8731426cb830352a7423a5ed1144ab5eb40351b3fd91d52"
 
 
 def compile_digest(n=500) -> str:
@@ -256,3 +256,11 @@ def compile_digest(n=500) -> str:
 
 def test_expr_compile_digest():
     assert compile_digest() == COMPILE_DIGEST
+
+
+def test_random_programs_round_trip_through_text():
+    for seed in range(500):
+        rng = random.Random(seed)
+        p, r = 1 + seed % 2, 1 + (seed // 2) % 2
+        prog = expr.parse(random_dsl(rng, 5, p, r, []), p, r)
+        assert expr.parse(str(prog), p, r) == prog, seed
