@@ -52,8 +52,7 @@ _KEYS = {
     "atom_rule": (_ridge.RunConfig, "atom_rule", "atom taken at each step"),
     "seed": (_ridge.RunConfig, "seed", "seed for the run"),
     "tol": (_ridge.RunConfig, "tol", "criticality tolerance"),
-    "tau_y": (_oracles.OracleSettings, "tau_y",
-              "y-block residual tolerance for PO atoms"),
+    "tau_y": (_oracles.OracleSettings, "tau_y", "y-block tolerance for PO atoms"),
     "oracle_mode": (_oracles.OracleSettings, "mode", "maximizer oracle"),
     **{key: (_oracles.OracleSettings, key, None) for key in
        ("delta_f", "delta_y", "grid_n", "n_starts", "max_branches", "eps_kink")},
@@ -233,11 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: cwd)")
 
     def add_keys(p, keys):
-        for key in keys:
-            help_text = _KEYS[key][2]
-            if help_text is None:
-                continue
-            f = _FIELDS[key]
+        for key in [k for k in keys if _KEYS[k][2]]:
+            f, help_text = _FIELDS[key], _KEYS[key][2]
             if f.default is not MISSING:
                 help_text += f" (default {f.default})"
             p.add_argument("--" + key.replace("_", "-"), dest=key,

@@ -294,7 +294,6 @@ def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
     if am.segment and prog.dim_y == 1 and len(ys) >= 2:
         ys = ys + _segment_interior(ys)
 
-    tau_y = settings.tau_y
     found: list[tuple[np.ndarray, np.ndarray, float]] = []  # (u, y, residual)
     incomplete = False
     for y in ys:
@@ -304,12 +303,12 @@ def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
         els = ss.elements
         for el in els:
             res = float(np.linalg.norm(el.v))
-            if res <= tau_y:
+            if res <= settings.tau_y:
                 found.append((el.u.copy(), y, res))
         if len(els) > 1:
             V = np.stack([el.v for el in els])
             cert = _hull.min_norm_point(V, tol=1e-12)
-            if cert.norm <= tau_y:
+            if cert.norm <= settings.tau_y:
                 # cert weights live on deduplicated V rows; credit each to
                 # the first branch with that exact v-block
                 U = np.stack([el.u for el in els])
@@ -323,7 +322,7 @@ def po_sample(prog: _expr.ExprProgram, x, am: ArgmaxResult,
 
     if not found:
         raise EmptyPOSample(
-            f"no PO atom within tau_y={tau_y} at x={x.tolist()}; "
+            f"no PO atom within tau_y={settings.tau_y} at x={x.tolist()}; "
             "an exact atom exists, so check oracle resolution and tolerances")
 
     return POSample.build(found, incomplete)

@@ -244,7 +244,9 @@ def run(config: RunConfig) -> tuple[Trajectory, RunReport]:
     traj = Trajectory(seed=config.seed, config_hash=config.config_hash())
 
     x = np.asarray(config.x0, dtype=float).copy()
-    boundary = stalled = aborted = False
+    boundary = False
+    stalled = False
+    aborted = False
     error = None
     window: list[float] = []
 
@@ -275,7 +277,9 @@ def run(config: RunConfig) -> tuple[Trajectory, RunReport]:
         tail = traj.fs[-max(1, len(traj.fs) // 10):]
         oscillation = float(max(tail) - min(tail))
 
-    certificate = certified_point = certified_distance = None
+    certificate = None
+    certified_point = None
+    certified_distance = None
     if not aborted:
         fallback = None
         for cand in _certify_candidates(x):
